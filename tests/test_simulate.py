@@ -112,6 +112,31 @@ class TestSimulateStudy:
         assert 1.25 <= ses[1] / ses[2] <= 1.6
 
 
+def noncentral_t_mean_d(beta, sigma, n):
+    """Exact E[d] when the three group means lie on a line with common SD.
+
+    Then d * sqrt(S_xx) follows a noncentral t with N - 2 degrees of
+    freedom and noncentrality beta * sqrt(S_xx) / sigma.
+    """
+    codes = (1.0, 2.0, 3.0)
+    n_total = sum(n)
+    code_mean = sum(k * c for k, c in zip(n, codes)) / n_total
+    s_xx = sum(k * (c - code_mean) ** 2 for k, c in zip(n, codes))
+    nu = n_total - 2
+    delta = beta * math.sqrt(s_xx) / sigma
+    t_mean = delta * math.sqrt(nu / 2) * math.exp(math.lgamma((nu - 1) / 2) - math.lgamma(nu / 2))
+    return t_mean / math.sqrt(s_xx)
+
+
+class TestNoncentralTOracle:
+    @pytest.mark.parametrize("n", [(10, 15, 5), (35, 45, 30), (300, 400, 240)])
+    def test_mean_d_matches_exact_mean(self, n):
+        summary = StudySummary("oracle", (4.0, 5.5, 7.0), (2.0, 2.0, 2.0), n)
+        stats = simulate_study(summary, SimConfig(iterations=50_000, seed=61))
+        expected = noncentral_t_mean_d(1.5, 2.0, n)
+        assert abs(stats.d_mean - expected) < 4 * stats.d_se
+
+
 class TestSimEffect:
     def test_zhh_matches_published_columns(self):
         eff = sim_effect(ZHH, SimConfig(iterations=10_000, seed=8))
