@@ -5,7 +5,6 @@ from .bias_study import (
     BiasReport,
     MixtureDensity,
     Scenario,
-    appendix_fixture,
     perturb_study_params,
     run_scenario,
     sample_standardized,
@@ -28,7 +27,6 @@ from .odds_recovery import (
     ORRecord,
     combine_reported_ors,
     combined_or,
-    expand_indicators,
     recover_tables,
     se_from_ci,
     select_pairing,
@@ -41,7 +39,6 @@ from .simulate import (
     additive_regression,
     sim_effect,
     simulate_study,
-    simulate_study_once,
 )
 
 __version__ = "0.1.0"
@@ -63,14 +60,12 @@ __all__ = [
     "SimStats",
     "StudySummary",
     "additive_regression",
-    "appendix_fixture",
     "cohens_d_variance",
     "combine_pairs",
     "combine_reported_ors",
     "combined_or",
     "crude_beta",
     "crude_effect",
-    "expand_indicators",
     "hedges_j",
     "perturb_study_params",
     "pool_random_effects",
@@ -82,5 +77,4 @@ __all__ = [
     "select_pairing",
     "sim_effect",
     "simulate_study",
-    "simulate_study_once",
 ]

@@ -2,7 +2,7 @@
 
 Every stochastic routine in this package draws from a generator obtained
 through :func:`substream`, keyed by the user seed plus a fixed stream tag
-and structural indices (replicate, study, block).  A stream is therefore a
+and structural indices (replicate, study, attempt).  A stream is therefore a
 pure function of its keys: results do not depend on execution order or on
 how work is split across workers.
 """
@@ -13,7 +13,7 @@ import numpy as np
 
 # Stream tags.  Values are arbitrary but frozen: changing them changes
 # every seeded result in the package.
-SIM_BLOCK = 101
+SIM_DRAWS = 101
 MC_PARAMS = 201
 MC_DATA = 202
 MC_INNER = 203

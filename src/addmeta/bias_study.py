@@ -27,12 +27,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from ._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
-from .effects import AdditiveEffect, StudySummary, crude_effect, effect_from_d
+from .effects import StudySummary, crude_effect, effect_from_d
 from .pooling import pool_random_effects
 from .simulate import (
     DEFAULT_SEED,
@@ -223,16 +223,8 @@ class BiasReport:
     retries: int
 
 
-SimFn = Callable[[StudySummary, SimConfig, AdditiveEffect], AdditiveEffect]
-
-
-def _default_sim(summary: StudySummary, config: SimConfig, true_effect: AdditiveEffect) -> AdditiveEffect:
-    return sim_effect(summary, config)
-
-
-def _replicate(scenario: Scenario, rep: int, sim_fn: Optional[SimFn] = None):
+def _replicate(scenario: Scenario, rep: int):
     """One replicate: (bias_g_crude, bias_gwm_crude, bias_g_sim, bias_gwm_sim, retries)."""
-    sim = sim_fn or _default_sim
     density = DENSITIES[scenario.density]
     n_triplet = scenario.n_triplet
     for attempt in range(MAX_REPLICATE_RETRIES):
@@ -261,7 +253,7 @@ def _replicate(scenario: Scenario, rep: int, sim_fn: Optional[SimFn] = None):
                     iterations=scenario.inner_iterations,
                     seed=derive_seed(scenario.seed, MC_INNER, rep, attempt, i),
                 )
-                simulated = sim(summary, config, truth)
+                simulated = sim_effect(summary, config)
                 true_gv.append((truth.g, truth.v_g))
                 crude_gv.append((crude.g, crude.v_g))
                 sim_gv.append((simulated.g, simulated.v_g))
@@ -284,20 +276,19 @@ def _replicate(scenario: Scenario, rep: int, sim_fn: Optional[SimFn] = None):
     )
 
 
-def run_scenario(scenario: Scenario, workers: int = 1, sim_fn: Optional[SimFn] = None) -> BiasReport:
+def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     """Run all replicates of a scenario and aggregate the bias metrics.
 
     ``workers`` distributes replicates across processes; the result is
-    bit-identical for any worker count.  ``sim_fn`` swaps out the simulation
-    estimator (a testing hook; forces serial execution).
+    bit-identical for any worker count.
     """
     reps = scenario.mc_reps
-    if workers > 1 and sim_fn is None and reps > 1:
+    if workers > 1 and reps > 1:
         chunk = max(1, reps // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(partial(_replicate, scenario), range(reps), chunksize=chunk))
     else:
-        rows = [_replicate(scenario, rep, sim_fn) for rep in range(reps)]
+        rows = [_replicate(scenario, rep) for rep in range(reps)]
 
     columns = list(zip(*rows))
     means = [math.fsum(col) / reps for col in columns[:4]]
@@ -321,18 +312,3 @@ def run_scenario(scenario: Scenario, workers: int = 1, sim_fn: Optional[SimFn] =
         mc_se_gwm_sim=ses[3],
         retries=sum(columns[4]),
     )
-
-
-def appendix_fixture(
-    rng: np.random.Generator, cutoff: float = 6.0
-) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
-    """Synthetic dichotomized dataset used to seed the odds-recovery tests.
-
-    Draws 30 values per genotype group from normals with means (4, 5.5, 7)
-    and SD 5, marks the phenotype present where the value exceeds ``cutoff``,
-    and returns the raw draws plus per-group (present, absent) counts.
-    """
-    means = (4.0, 5.5, 7.0)
-    groups = [rng.normal(mu, 5.0, size=30) for mu in means]
-    counts = [(int((g > cutoff).sum()), int((g <= cutoff).sum())) for g in groups]
-    return groups, counts

@@ -34,9 +34,14 @@ from .simulate import DEFAULT_ITERATIONS, DEFAULT_SEED, SimConfig, sim_effect
 EFFECT_ROW_STREAM = 401
 
 
-def _workers_default() -> int:
-    env = os.environ.get("ADDMETA_WORKERS")
-    return int(env) if env else 1
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _write_manifest(output: Path, command: str, options: dict) -> None:
@@ -60,12 +65,8 @@ def _cmd_effect(args) -> int:
         if args.method == "crude":
             effects.append(crude_effect(summary, standardizer=args.standardizer))
         else:
-            config = SimConfig(
-                iterations=args.iterations,
-                seed=derive_seed(args.seed, EFFECT_ROW_STREAM, idx),
-                workers=args.workers,
-            )
-            effects.append(sim_effect(summary, config))
+            seed = derive_seed(args.seed, EFFECT_ROW_STREAM, idx)
+            effects.append(sim_effect(summary, SimConfig(iterations=args.iterations, seed=seed)))
     io.write_effects(
         args.output,
         effects,
@@ -178,6 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Meta-analysis of genetic association studies under the additive model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through the same type check as a given value
+    workers_default = os.environ.get("ADDMETA_WORKERS") or "1"
 
     def common(p):
         p.add_argument("-o", "--output", type=Path, required=True, help="output CSV path")
@@ -196,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_effect.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     p_effect.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_effect.add_argument("--workers", type=int, default=_workers_default())
+    p_effect.add_argument("--workers", type=_positive_int, default=workers_default,
+                          help="accepted for symmetry with mc; has no effect on effect")
     common(p_effect)
     p_effect.set_defaults(func=_cmd_effect)
 
@@ -214,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--truncation", choices=["paper", "per-group"], default=None)
     p_mc.add_argument("--full-grid", action="store_true",
                       help="run every scenario cell instead of a single config")
-    p_mc.add_argument("--workers", type=int, default=_workers_default())
+    p_mc.add_argument("--workers", type=_positive_int, default=workers_default,
+                      help="processes for the Monte Carlo replicates (default: "
+                      "ADDMETA_WORKERS or 1); results do not depend on it")
     common(p_mc)
     p_mc.set_defaults(func=_cmd_mc)
 

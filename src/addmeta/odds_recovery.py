@@ -236,20 +236,6 @@ def select_pairing(
     )
 
 
-def expand_indicators(merged: MergedTable) -> tuple[np.ndarray, np.ndarray]:
-    """Individual-level 0/1 phenotype and 1/2/3 genotype vectors.
-
-    Group order is AA (code 1), AB (2), BB (3); within a group the
-    phenotype-present entries come first.  Order carries no information for
-    the logistic fit.
-    """
-    phenotype, genotype = [], []
-    for code, (present, absent) in ((1, merged.aa), (2, merged.ab), (3, merged.bb)):
-        phenotype.extend([1] * present + [0] * absent)
-        genotype.extend([code] * (present + absent))
-    return np.array(phenotype, dtype=float), np.array(genotype, dtype=float)
-
-
 def _logistic_fit(y_counts: np.ndarray, totals: np.ndarray, x: np.ndarray, max_iter: int = 50):
     """Newton-Raphson MLE of logit(p) = b0 + b1*x on grouped counts."""
     design = np.column_stack([np.ones_like(x), x])

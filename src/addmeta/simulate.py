@@ -1,33 +1,32 @@
 """Simulation-based additive effect estimator.
 
 Instead of standardizing the reported summary statistics directly, this
-estimator regenerates plausible individual-level data: it repeatedly draws
-each genotype group from a normal distribution with the reported mean and
+estimator regenerates plausible individual-level data: each iteration draws
+every genotype group from a normal distribution with the reported mean and
 standard deviation, fits the additive regression on group codes (1, 2, 3),
-takes the d denominator from the fit's ANOVA table as
-``sqrt(model mean square / F)`` (i.e. the residual standard deviation), and
-averages Cohen's d over the iterations.  The averaged d then goes through
-the same pairwise d-to-g machinery as the crude estimator.
+and divides the slope by the fit's residual standard deviation.  Cohen's d
+is averaged over the iterations, and the averaged d then goes through the
+same pairwise d-to-g machinery as the crude estimator.
 
-Iterations are partitioned into fixed-size blocks, each drawing from a
-random substream keyed by (seed, block index), and block sums are combined
-with exact summation in block order.  Results are therefore bit-identical
-for any ``workers`` setting.
+The fit depends on a drawn dataset only through its three group means and
+its within-group sum of squares, and under normal regeneration these are
+independent: group k's mean is N(m_k, sd_k^2 / n_k) and its sum of squares
+is sd_k^2 * chi-square(n_k - 1).  Each iteration therefore draws these
+sufficient statistics (six numbers) instead of N individuals; the
+estimate has the same distribution.  All iterations of a study draw from
+one random substream keyed by the seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._rng import SIM_BLOCK, substream
+from ._rng import SIM_DRAWS, substream
 from .effects import AdditiveEffect, StudySummary, effect_from_d
-
-BLOCK_SIZE = 1024
 
 DEFAULT_SEED = 20270405
 DEFAULT_ITERATIONS = 10_000
@@ -39,22 +38,19 @@ class DegenerateSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Iteration count, seed and parallelism for the simulation estimator."""
+    """Iteration count and seed for the simulation estimator."""
 
     iterations: int = DEFAULT_ITERATIONS
     seed: int = DEFAULT_SEED
-    workers: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
 class SimDraw:
-    """Additive fit of one drawn dataset: slope, ANOVA-derived sd, their ratio."""
+    """Additive fit of one drawn dataset: slope, residual sd, their ratio."""
 
     beta: float
     sd: float
@@ -83,31 +79,19 @@ class _Design:
         self.s_xx = float((self.n * (self.codes - self.code_mean) ** 2).sum())
 
 
-def _anova_sd(design: _Design, means: np.ndarray, sse_within: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Denominator of d via the regression ANOVA table: sqrt(MS_model / F).
+def _residual_sd(design: _Design, means: np.ndarray, sse_within: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Residual standard deviation of the additive fit, sqrt(RSS / (N - 2)).
 
     ``means`` is (iterations, 3), ``sse_within`` the per-iteration sum of
-    squared deviations from the group means.  The returned value equals the
-    residual standard deviation of the additive fit (total N - 2 degrees of
-    freedom), including any lack of fit of the three group means to the line.
+    squared deviations from the group means.  RSS is the within-group sum of
+    squares plus the group means' lack of fit to the line; summing the two
+    nonnegative parts avoids cancellation when both are tiny.
     """
     grand = (means * design.n).sum(axis=1) / design.n_total
     intercept = grand - betas * design.code_mean
     fitted = intercept[:, None] + betas[:, None] * design.codes[None, :]
-    # RSS = within-group SS plus the group means' lack of fit to the line;
-    # summing the two nonnegative parts avoids cancellation when both are tiny
     lack_of_fit = (design.n * (means - fitted) ** 2).sum(axis=1)
-    rss = sse_within + lack_of_fit
-    ms_model = betas * betas * design.s_xx  # 1 degree of freedom
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_stat = ms_model / (rss / (design.n_total - 2.0))
-        sd = np.sqrt(ms_model / f_stat)
-    # ss_model == 0 (flat fitted line) makes the ratio 0/0; fall back to the
-    # algebraically identical residual form.
-    flat = ~np.isfinite(sd)
-    if np.any(flat):
-        sd[flat] = np.sqrt(rss[flat] / (design.n_total - 2.0))
-    return sd
+    return np.sqrt((sse_within + lack_of_fit) / (design.n_total - 2.0))
 
 
 def _slope(design: _Design, means: np.ndarray) -> np.ndarray:
@@ -121,7 +105,7 @@ def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
     """Fit the additive model to one individual-level dataset.
 
     ``groups`` holds the three per-group phenotype vectors.  Returns the
-    least-squares slope on group codes (1, 2, 3), the ANOVA-derived standard
+    least-squares slope on group codes (1, 2, 3), the residual standard
     deviation, and their ratio d.
     """
     if len(groups) != 3:
@@ -130,74 +114,39 @@ def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
     means = np.array([[float(np.mean(g)) for g in groups]])
     sse = np.array([sum(float(((g - np.mean(g)) ** 2).sum()) for g in groups)])
     beta = _slope(design, means)
-    sd = _anova_sd(design, means, sse, beta)
+    sd = _residual_sd(design, means, sse, beta)
     if sd[0] == 0.0:
         raise DegenerateSampleError("sample has zero variance in every group and no slope")
     return SimDraw(beta=float(beta[0]), sd=float(sd[0]), d=float(beta[0] / sd[0]))
 
 
-def simulate_study_once(summary: StudySummary, rng: np.random.Generator) -> SimDraw:
-    """Draw one synthetic dataset matching ``summary`` and fit it."""
-    groups = [rng.normal(summary.m[k], summary.sd[k], size=summary.n[k]) for k in range(3)]
-    return additive_regression(groups)
-
-
-def _block(summary: StudySummary, design: _Design, seed: int, index: int, count: int):
-    """Per-iteration (sums of) beta, sd and d for one block of draws."""
-    rng = substream(seed, SIM_BLOCK, index)
-    means = np.empty((count, 3))
-    sse = np.zeros(count)
-    for k in range(3):
-        draws = rng.normal(summary.m[k], summary.sd[k], size=(count, summary.n[k]))
-        mu = draws.mean(axis=1)
-        means[:, k] = mu
-        sse += ((draws - mu[:, None]) ** 2).sum(axis=1)
+def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-iteration slope, residual sd and d of the regenerated datasets."""
+    design = _Design(summary.n)
+    rng = substream(config.seed, SIM_DRAWS)
+    shape = (config.iterations, 3)
+    sd = np.asarray(summary.sd, dtype=float)
+    means = rng.normal(summary.m, sd / np.sqrt(design.n), shape)
+    sse = (sd * sd * rng.chisquare(design.n - 1.0, shape)).sum(axis=1)
     betas = _slope(design, means)
-    sds = _anova_sd(design, means, sse, betas)
+    sds = _residual_sd(design, means, sse, betas)
     if np.any(sds == 0.0):
-        raise DegenerateSampleError("zero-variance draw inside simulation block")
-    ds = betas / sds
-    return (
-        math.fsum(betas.tolist()),
-        math.fsum(sds.tolist()),
-        math.fsum(ds.tolist()),
-        math.fsum((ds * ds).tolist()),
-    )
+        raise DegenerateSampleError("zero-variance draw in simulation")
+    return betas, sds, betas / sds
 
 
 def simulate_study(summary: StudySummary, config: SimConfig = SimConfig()) -> SimStats:
-    """Run the iteration loop and return the iteration averages.
+    """Run the iterations and return their averages.
 
-    Deterministic for a given (summary, seed, iterations) regardless of the
-    worker count.
+    Deterministic for a given (summary, seed, iterations).
     """
-    design = _Design(summary.n)
+    betas, sds, ds = _draws(summary, config)
     n_iter = config.iterations
-    blocks = [
-        (i, start, min(BLOCK_SIZE, n_iter - start))
-        for i, start in enumerate(range(0, n_iter, BLOCK_SIZE))
-    ]
-    if config.workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(
-                pool.map(lambda b: _block(summary, design, config.seed, b[0], b[2]), blocks)
-            )
-    else:
-        partials = [_block(summary, design, config.seed, i, count) for i, _, count in blocks]
-    sum_beta = math.fsum(p[0] for p in partials)
-    sum_sd = math.fsum(p[1] for p in partials)
-    sum_d = math.fsum(p[2] for p in partials)
-    sum_d2 = math.fsum(p[3] for p in partials)
-    d_mean = sum_d / n_iter
-    if n_iter > 1:
-        var_d = max(0.0, (sum_d2 - n_iter * d_mean * d_mean) / (n_iter - 1))
-        d_se = math.sqrt(var_d / n_iter)
-    else:
-        d_se = float("nan")
+    d_se = float(ds.std(ddof=1)) / math.sqrt(n_iter) if n_iter > 1 else float("nan")
     return SimStats(
-        beta_mean=sum_beta / n_iter,
-        sd_beta_mean=sum_sd / n_iter,
-        d_mean=d_mean,
+        beta_mean=float(betas.mean()),
+        sd_beta_mean=float(sds.mean()),
+        d_mean=float(ds.mean()),
         d_se=d_se,
         iterations=n_iter,
     )
@@ -207,8 +156,9 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
     """Simulation-based additive effect for one study.
 
     ``beta`` and ``sd_beta`` of the result are iteration means of the
-    per-draw slope and ANOVA sd; ``d`` is the iteration mean of the per-draw
-    ratio (so ``d`` differs from ``beta/sd_beta`` by O(1/iterations)).  The
+    per-draw slope and residual sd; ``d`` is the iteration mean of the
+    per-draw ratio (so ``d`` differs from ``beta/sd_beta`` by
+    O(1/iterations)).  The
     pairwise g machinery is applied to the averaged d exactly as in the
     crude estimator.
     """

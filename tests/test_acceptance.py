@@ -24,7 +24,7 @@ from addmeta.odds_recovery import (
     select_pairing,
 )
 from addmeta.pooling import pool_random_effects
-from addmeta.simulate import SimConfig, additive_regression, simulate_study
+from addmeta.simulate import additive_regression
 
 from test_odds_recovery import grid_search_logit_slope
 
@@ -241,16 +241,12 @@ def test_criterion_5f_irls_vs_grid_oracle():
 
 
 def test_criterion_5g_worker_determinism():
-    summary = StudySummary("det", (4, 5.5, 9), (2, 3, 2.5), (40, 55, 35))
-    serial = simulate_study(summary, SimConfig(iterations=4000, seed=17, workers=1))
-    threaded = simulate_study(summary, SimConfig(iterations=4000, seed=17, workers=4))
     scenario = Scenario(density="f3", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
                         n_triplet=(15, 20, 10), mc_reps=8, inner_iterations=50, seed=23)
     mc_serial = run_scenario(scenario, workers=1)
     mc_parallel = run_scenario(scenario, workers=3)
-    ok = serial == threaded and mc_serial == mc_parallel
     report("criterion 5g (bit-identical results across worker counts)",
-           ok, "simulation estimator (1 vs 4 workers) and bias study (1 vs 3 workers)")
+           mc_serial == mc_parallel, "bias study (1 vs 3 workers)")
 
 
 SUPERIORITY_BATCH = [

@@ -5,23 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from addmeta import bias_study
 from addmeta._rng import substream
 from addmeta.bias_study import (
     DENSITIES,
     N_TRIPLETS,
     Scenario,
     _replicate,
-    appendix_fixture,
     perturb_study_params,
     run_scenario,
     sample_standardized,
 )
+from addmeta.effects import crude_effect
 from addmeta.pooling import pool_random_effects
 from addmeta.simulate import DegenerateSampleError
-
-
-def normal_cdf(x):
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 class TestDensities:
@@ -171,27 +168,30 @@ SMALL = Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
 
 
 class TestRunScenario:
-    def test_oracle_substitution_zeroes_sim_bias(self):
-        def oracle(summary, config, true_effect):
-            return true_effect
+    def test_crude_substitution_copies_crude_bias(self, monkeypatch):
+        def crude(summary, config):
+            return crude_effect(summary, standardizer="pair-mean")
 
-        report = run_scenario(SMALL, sim_fn=oracle)
-        assert report.bias_g_sim == 0.0
-        assert report.bias_gwm_sim == 0.0
+        monkeypatch.setattr(bias_study, "sim_effect", crude)
+        report = run_scenario(SMALL)
+        assert report.bias_g_sim == report.bias_g_crude
+        assert report.bias_gwm_sim == report.bias_gwm_crude
         assert report.bias_g_crude > 0.0
 
-    def test_degenerate_replicates_are_retried_and_counted(self):
+    def test_degenerate_replicates_are_retried_and_counted(self, monkeypatch):
         calls = {"n": 0}
+        sim_effect = bias_study.sim_effect
 
-        def flaky(summary, config, true_effect):
+        def flaky(summary, config):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise DegenerateSampleError("injected")
-            return true_effect
+            return sim_effect(summary, config)
 
-        report = run_scenario(SMALL, sim_fn=flaky)
+        monkeypatch.setattr(bias_study, "sim_effect", flaky)
+        report = run_scenario(SMALL)
         assert report.retries == 1
-        assert report.bias_gwm_sim == 0.0
+        assert math.isfinite(report.bias_gwm_sim)
 
     def test_bit_identical_across_worker_counts(self):
         serial = run_scenario(SMALL)
@@ -236,28 +236,3 @@ class TestRunScenario:
             values.append(run_scenario(scenario).bias_gwm_sim)
         inversions = sum(1 for a, b in zip(values, values[1:]) if b > a)
         assert inversions <= 1, values
-
-
-class TestAppendixFixture:
-    def test_counts_match_normal_cdf_oracle(self):
-        # expected present counts: 30 * P(N(mu, 5) > 6)
-        expected = [30 * (1 - normal_cdf((6 - mu) / 5)) for mu in (4.0, 5.5, 7.0)]
-        assert expected[0] == pytest.approx(10.34, abs=0.01)
-        assert expected[2] == pytest.approx(17.38, abs=0.01)
-        totals = np.zeros(3)
-        reps = 300
-        for i in range(reps):
-            _, counts = appendix_fixture(substream(88, i))
-            totals += [c[0] for c in counts]
-        means = totals / reps
-        for got, want in zip(means, expected):
-            assert got == pytest.approx(want, abs=0.6)
-
-    def test_group_sizes_and_margins(self):
-        groups, counts = appendix_fixture(substream(12))
-        assert [len(g) for g in groups] == [30, 30, 30]
-        assert all(present + absent == 30 for present, absent in counts)
-
-    def test_cutoff_minus_infinity_marks_all_present(self):
-        _, counts = appendix_fixture(substream(13), cutoff=-math.inf)
-        assert counts == [(30, 0), (30, 0), (30, 0)]

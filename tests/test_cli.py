@@ -103,8 +103,37 @@ class TestEffectCommand:
         manifest = json.loads((tmp_path / "w.csv.manifest.json").read_text())
         assert manifest["options"]["workers"] == 3
         monkeypatch.delenv("ADDMETA_WORKERS")
-        assert main(args + ["-o", str(baseline)]) == 0
+        assert main(args + ["--workers", "1", "-o", str(baseline)]) == 0
         assert out.read_bytes() == baseline.read_bytes()  # worker count never changes results
+
+
+class TestWorkersOption:
+    @pytest.mark.parametrize("argv", [
+        ["effect", "in.csv", "--workers", "0", "-o", "out.csv"],
+        ["mc", "in.json", "--workers", "-3", "-o", "out.csv"],
+        ["mc", "in.json", "--workers", "two", "-o", "out.csv"],
+    ], ids=["effect-zero", "mc-negative", "mc-not-a-number"])
+    def test_invalid_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["effect", "mc"])
+    def test_invalid_environment_default_is_a_usage_error(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("ADDMETA_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "in.csv", "-o", "out.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'abc'" in err and "Traceback" not in err
+
+    def test_flag_overrides_invalid_environment(self, table2_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("ADDMETA_WORKERS", "abc")
+        out = tmp_path / "e.csv"
+        assert main(["effect", str(table2_csv), "--workers", "2", "-o", str(out)]) == 0
 
 
 class TestMetaCommand:

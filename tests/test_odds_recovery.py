@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from addmeta.odds_recovery import (
     CandidateTable,
@@ -15,7 +13,6 @@ from addmeta.odds_recovery import (
     SeparationError,
     combine_reported_ors,
     combined_or,
-    expand_indicators,
     recover_tables,
     se_from_ci,
     select_pairing,
@@ -203,31 +200,6 @@ class TestSelectPairing:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             select_pairing([], recover_tables(BB_RECORD), 30, 30)
-
-
-class TestExpandIndicators:
-    def test_published_merged_table(self):
-        merged = MergedTable(bb=(18, 12), ab=(18, 12), aa=(10, 20),
-                             ab_branch="plus", bb_branch="minus", ab_distance=0.0)
-        phenotype, genotype = expand_indicators(merged)
-        assert len(phenotype) == 90
-        assert [int(phenotype[genotype == code].sum()) for code in (1, 2, 3)] == [10, 18, 18]
-        assert [int((genotype == code).sum()) for code in (1, 2, 3)] == [30, 30, 30]
-
-    def test_all_absent_table(self):
-        merged = MergedTable(bb=(0, 10), ab=(0, 10), aa=(0, 10),
-                             ab_branch="plus", bb_branch="plus", ab_distance=0.0)
-        phenotype, _ = expand_indicators(merged)
-        assert phenotype.sum() == 0
-
-    @given(rows=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=3, max_size=3))
-    @settings(max_examples=100, deadline=None)
-    def test_length_conservation(self, rows):
-        merged = MergedTable(bb=rows[0], ab=rows[1], aa=rows[2],
-                             ab_branch="plus", bb_branch="plus", ab_distance=0.0)
-        phenotype, genotype = expand_indicators(merged)
-        total = sum(sum(row) for row in rows)
-        assert len(phenotype) == len(genotype) == total
 
 
 TABLE7 = MergedTable(bb=(18, 12), ab=(18, 12), aa=(10, 20),

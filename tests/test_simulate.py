@@ -1,4 +1,4 @@
-"""Simulation estimator: regression/ANOVA identities, determinism, goldens."""
+"""Simulation estimator: regression/ANOVA identities, oracles, goldens."""
 
 import math
 
@@ -9,10 +9,10 @@ from addmeta.effects import StudySummary
 from addmeta.simulate import (
     DegenerateSampleError,
     SimConfig,
+    _draws,
     additive_regression,
     sim_effect,
     simulate_study,
-    simulate_study_once,
 )
 
 ZHH = StudySummary("ZHH-FE", (3.24, 2.44, 3.64), (2.11, 1.23, 2.42), (25, 24, 21))
@@ -71,17 +71,10 @@ class TestAdditiveRegression:
         assert np.isfinite(draw.d)
 
 
-class TestSimulateStudyOnce:
-    def test_golden_replay_seed_42(self):
-        draw = simulate_study_once(ZHH, np.random.default_rng(42))
-        assert draw.beta == pytest.approx(0.1896730192735721, rel=1e-12)
-        assert draw.sd == pytest.approx(1.5974759755423091, rel=1e-12)
-        assert draw.d == pytest.approx(0.11873294007390763, rel=1e-12)
-
-    def test_noise_free_limit_recovers_slope(self):
-        summary = StudySummary("limit", (4, 5.5, 7), (1e-8, 1e-8, 1e-8), (20, 20, 20))
-        draw = simulate_study_once(summary, np.random.default_rng(0))
-        assert draw.beta == pytest.approx(1.5, abs=1e-3)
+def simulate_study_once(summary, rng):
+    """Reference sampler: draw every subject of one dataset and fit it."""
+    groups = [rng.normal(summary.m[k], summary.sd[k], size=summary.n[k]) for k in range(3)]
+    return additive_regression(groups)
 
 
 class TestSimulateStudy:
@@ -92,16 +85,15 @@ class TestSimulateStudy:
 
     def test_golden_stats_replay(self):
         stats = simulate_study(ZHH, SimConfig(iterations=500, seed=99))
-        assert stats.beta_mean == pytest.approx(0.1870450229976464, rel=1e-12)
-        assert stats.sd_beta_mean == pytest.approx(2.0133152898792632, rel=1e-12)
-        assert stats.d_mean == pytest.approx(0.09136857041248793, rel=1e-12)
-        assert stats.d_se == pytest.approx(0.007384274219049793, rel=1e-12)
+        assert stats.beta_mean == pytest.approx(0.19216571744966773, rel=1e-12)
+        assert stats.sd_beta_mean == pytest.approx(2.018860139457711, rel=1e-12)
+        assert stats.d_mean == pytest.approx(0.09601116487362174, rel=1e-12)
+        assert stats.d_se == pytest.approx(0.007379293689902683, rel=1e-12)
 
-    def test_bit_identical_across_worker_counts(self):
-        base = simulate_study(SATIETY, SimConfig(iterations=3000, seed=31, workers=1))
-        for workers in (2, 5):
-            again = simulate_study(SATIETY, SimConfig(iterations=3000, seed=31, workers=workers))
-            assert again == base  # exact float equality, not approx
+    def test_noise_free_limit_recovers_slope(self):
+        summary = StudySummary("limit", (4, 5.5, 7), (1e-8, 1e-8, 1e-8), (20, 20, 20))
+        stats = simulate_study(summary, SimConfig(iterations=100, seed=0))
+        assert stats.beta_mean == pytest.approx(1.5, abs=1e-3)
 
     def test_mc_convergence_rate(self):
         # doubling iterations should shrink the empirical SE of mean d by ~sqrt(2)
@@ -137,6 +129,36 @@ class TestNoncentralTOracle:
         assert abs(stats.d_mean - expected) < 4 * stats.d_se
 
 
+def _moments(x):
+    """Mean and SD of ``x`` with their Monte Carlo standard errors."""
+    n = len(x)
+    mean, sd = float(x.mean()), float(x.std(ddof=1))
+    m4 = float(((x - mean) ** 4).mean())
+    # delta method: se(sd) = se(var) / (2 sd), se(var) = sqrt((m4 - var^2) / n)
+    return mean, sd / math.sqrt(n), sd, math.sqrt(max(m4 - sd**4, 0.0) / n) / (2 * sd)
+
+
+class TestReferenceEquivalence:
+    """The sufficient-statistic sampler against drawing every subject."""
+
+    @pytest.mark.parametrize("summary", [
+        StudySummary("tiny", (3.0, 5.5, 6.0), (1.0, 2.5, 4.0), (3, 5, 2)),
+        StudySummary("het", (3.0, 5.5, 6.0), (1.0, 2.5, 4.0), (12, 20, 9)),
+        StudySummary("het-large", (2.0, 2.4, 4.1), (3.0, 1.5, 2.2), (60, 45, 30)),
+        ZHH,
+    ], ids=lambda s: s.study_id)
+    def test_per_draw_moments_agree(self, summary):
+        draws = 4000
+        rng = np.random.default_rng(2718)
+        reference = [simulate_study_once(summary, rng) for _ in range(draws)]
+        fast = _draws(summary, SimConfig(iterations=draws, seed=2719))
+        for name, ref, new in zip(("beta", "sd", "d"), zip(*((r.beta, r.sd, r.d) for r in reference)), fast):
+            ref_mean, ref_mean_se, ref_sd, ref_sd_se = _moments(np.array(ref))
+            new_mean, new_mean_se, new_sd, new_sd_se = _moments(new)
+            assert abs(ref_mean - new_mean) < 4 * math.hypot(ref_mean_se, new_mean_se), name
+            assert abs(ref_sd - new_sd) < 4 * math.hypot(ref_sd_se, new_sd_se), name
+
+
 class TestSimEffect:
     def test_zhh_matches_published_columns(self):
         eff = sim_effect(ZHH, SimConfig(iterations=10_000, seed=8))
@@ -167,5 +189,3 @@ class TestSimEffect:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(iterations=0)
-        with pytest.raises(ValueError):
-            SimConfig(workers=0)
