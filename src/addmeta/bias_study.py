@@ -23,6 +23,7 @@ from the replicate-level spread.  Everything is deterministic given
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -205,6 +206,26 @@ class Scenario:
             raise ValueError("mc_reps and inner_iterations must be >= 1")
         if self.truncation not in ("paper", "per-group"):
             raise ValueError(f"truncation must be 'paper' or 'per-group', got {self.truncation!r}")
+
+
+def full_grid(reps: int, inner: int, seed: int, truncation: Truncation) -> list[Scenario]:
+    """Every cell of the scenario grid, densities outermost and n-triplets innermost."""
+    return [
+        Scenario(
+            density=density,
+            n_studies=n_studies,
+            mean_vec=mean_vec,
+            sigma_ws=sigma_ws,
+            n_triplet=n_triplet,
+            mc_reps=reps,
+            inner_iterations=inner,
+            seed=seed,
+            truncation=truncation,
+        )
+        for density, n_studies, sigma_ws, mean_vec, n_triplet in itertools.product(
+            DENSITIES, STUDY_COUNTS, SIGMA_WS_VALUES, MEAN_VECTORS, N_TRIPLETS
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line surface: effect sizes, pooling, bias study, OR recovery.
 
-Every successful run writes a JSON manifest next to the output file; the
-same command with the same inputs reproduces the output byte for byte.
+Every successful run writes a JSON manifest of its parsed options next to
+the output file; both are written whole or not at all.  The same command
+with the same inputs reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ from ._rng import derive_seed
 from .bias_study import (
     DEFAULT_INNER_ITERATIONS,
     DEFAULT_REPLICATES,
-    DENSITIES,
-    MEAN_VECTORS,
-    N_TRIPLETS,
-    SIGMA_WS_VALUES,
-    STUDY_COUNTS,
     Scenario,
+    full_grid,
     run_scenario,
 )
 from .effects import crude_effect
@@ -44,94 +41,46 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_manifest(output: Path, command: str, options: dict) -> None:
+def _write_manifest(args) -> None:
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "options": options,
-        "output": str(output),
+        "output": str(args.output),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    Path(str(output) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
+    io.write_atomic(str(args.output) + ".manifest.json", lambda handle: handle.write(text))
 
 
-def _cmd_effect(args) -> int:
+def _cmd_effect(args) -> None:
     summaries = io.read_study_summaries(args.input)
-    if not summaries:
-        raise ValueError(f"{args.input}: no studies found")
-    effects = []
-    for idx, summary in enumerate(summaries):
-        if args.method == "crude":
-            effects.append(crude_effect(summary, standardizer=args.standardizer))
-        else:
-            seed = derive_seed(args.seed, EFFECT_ROW_STREAM, idx)
-            effects.append(sim_effect(summary, SimConfig(iterations=args.iterations, seed=seed)))
-    io.write_effects(
-        args.output,
-        effects,
-        seed=args.seed if args.method == "sim" else None,
-        iterations=args.iterations if args.method == "sim" else None,
-        precision=args.precision,
-    )
-    _write_manifest(
-        args.output,
-        "effect",
-        {
-            "input": str(args.input),
-            "method": args.method,
-            "standardizer": args.standardizer,
-            "iterations": args.iterations,
-            "seed": args.seed,
-            "workers": args.workers,
-            "precision": args.precision,
-        },
-    )
-    return 0
-
-
-def _cmd_meta(args) -> int:
-    rows = io.read_effects(args.input)
-    if not rows:
-        raise ValueError(f"{args.input}: no effects found")
-    result = pool_random_effects([(g, v) for _, g, v in rows])
-    io.write_meta_result(args.output, result, precision=args.precision)
-    _write_manifest(args.output, "meta", {"input": str(args.input), "precision": args.precision})
-    return 0
-
-
-def _full_grid(reps, inner, seed, truncation):
-    for density in DENSITIES:
-        for n_studies in STUDY_COUNTS:
-            for sigma_ws in SIGMA_WS_VALUES:
-                for mean_vec in MEAN_VECTORS:
-                    for n_triplet in N_TRIPLETS:
-                        yield Scenario(
-                            density=density,
-                            n_studies=n_studies,
-                            mean_vec=mean_vec,
-                            sigma_ws=sigma_ws,
-                            n_triplet=n_triplet,
-                            mc_reps=reps,
-                            inner_iterations=inner,
-                            seed=seed,
-                            truncation=truncation,
-                        )
-
-
-def _cmd_mc(args) -> int:
-    if args.full_grid:
-        scenarios = list(
-            _full_grid(
-                args.reps or DEFAULT_REPLICATES,
-                args.inner_iterations or DEFAULT_INNER_ITERATIONS,
-                args.seed if args.seed is not None else Scenario.seed,
-                args.truncation or "paper",
-            )
-        )
+    if args.method == "crude":
+        effects = [crude_effect(s, standardizer=args.standardizer) for s in summaries]
     else:
-        if args.input is None:
-            raise ValueError("a scenario config file is required unless --full-grid is given")
+        effects = [
+            sim_effect(s, SimConfig(iterations=args.iterations, seed=derive_seed(args.seed, EFFECT_ROW_STREAM, idx)))
+            for idx, s in enumerate(summaries)
+        ]
+    io.write_effects(args.output, effects, args.seed, args.iterations, args.precision)
+
+
+def _cmd_meta(args) -> None:
+    result = pool_random_effects([(g, v) for _, g, v in io.read_effects(args.input)])
+    io.write_meta_result(args.output, result, args.precision)
+
+
+def _cmd_mc(args) -> None:
+    if args.full_grid:
+        scenarios = full_grid(
+            args.reps or DEFAULT_REPLICATES,
+            args.inner_iterations or DEFAULT_INNER_ITERATIONS,
+            args.seed if args.seed is not None else Scenario.seed,
+            args.truncation or "paper",
+        )
+    elif args.input is None:
+        raise ValueError("a scenario config file is required unless --full-grid is given")
+    else:
         scenarios = [
             io.read_scenario(
                 args.input,
@@ -141,36 +90,12 @@ def _cmd_mc(args) -> int:
                 truncation=args.truncation,
             )
         ]
-    reports = [run_scenario(s, workers=args.workers) for s in scenarios]
-    io.write_bias_reports(args.output, reports, precision=args.precision)
-    _write_manifest(
-        args.output,
-        "mc",
-        {
-            "input": str(args.input) if args.input else None,
-            "full_grid": args.full_grid,
-            "reps": args.reps,
-            "inner_iterations": args.inner_iterations,
-            "seed": args.seed,
-            "truncation": args.truncation,
-            "workers": args.workers,
-            "precision": args.precision,
-        },
-    )
-    return 0
+    io.write_bias_reports(args.output, [run_scenario(s, workers=args.workers) for s in scenarios], args.precision)
 
 
-def _cmd_or(args) -> int:
-    pairs = io.read_or_records(args.input)
-    if not pairs:
-        raise ValueError(f"{args.input}: no odds-ratio records found")
-    rows = []
-    for study, ab_record, bb_record in pairs:
-        merged, combined = combine_reported_ors(ab_record, bb_record)
-        rows.append((study, merged, combined))
-    io.write_combined_ors(args.output, rows, precision=args.precision)
-    _write_manifest(args.output, "or", {"input": str(args.input), "precision": args.precision})
-    return 0
+def _cmd_or(args) -> None:
+    rows = [(study, *combine_reported_ors(ab, bb)) for study, ab, bb in io.read_or_records(args.input)]
+    io.write_combined_ors(args.output, rows, args.precision)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("-o", "--output", type=Path, required=True, help="output CSV path")
-        p.add_argument("--precision", type=int, default=io.DEFAULT_PRECISION,
+        p.add_argument("--precision", type=_positive_int, default=io.DEFAULT_PRECISION,
                        help="significant digits for floats (default 6)")
 
     p_effect = sub.add_parser("effect", help="per-study additive effect sizes from a summary CSV")
@@ -235,10 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        _write_manifest(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,16 +1,21 @@
 """CSV/JSON readers and writers for the batch pipeline.
 
 All files are UTF-8 with headers; floats are serialized at a configurable
-number of significant digits (default 6).  Readers raise ``ValueError``
-with the offending row number on malformed input.
+number of significant digits (default 6).  Every reader parses its rows
+through ``_parse_rows``, so malformed or non-finite input raises
+``ValueError`` with the path and row number, and a file without data rows
+is refused.  Every file is written through ``write_atomic``, so it appears
+whole or not at all.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .bias_study import BiasReport, Scenario
 from .effects import AdditiveEffect, StudySummary
@@ -36,36 +41,98 @@ def fmt(value: float, precision: int = DEFAULT_PRECISION) -> str:
     return format(float(value), f".{precision}g")
 
 
-def _check_header(reader: csv.DictReader, required: Sequence[str], path) -> None:
-    missing = [f for f in required if f not in (reader.fieldnames or [])]
-    if missing:
-        raise ValueError(f"{path}: missing required columns {missing} (header row is required)")
-
-
-def _summary_from_mapping(row, row_no: int, origin) -> StudySummary:
+def _float(row, field: str) -> float:
+    text = row[field]
     try:
-        return StudySummary(
-            study_id=str(row["study_id"]),
-            m=(float(row["m1"]), float(row["m2"]), float(row["m3"])),
-            sd=(float(row["sd1"]), float(row["sd2"]), float(row["sd3"])),
-            n=(int(float(row["n1"])), int(float(row["n2"])), int(float(row["n3"]))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{origin}, row {row_no}: {exc}") from exc
+        value = float(text)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{field}: expected a finite number, got {text!r}")
+    return value
+
+
+def _int(row, field: str) -> int:
+    value = _float(row, field)
+    if not value.is_integer():
+        raise ValueError(f"{field}: expected an integer, got {row[field]!r}")
+    return int(value)
+
+
+def _parse_rows(rows: Iterable, parse: Callable, origin, first_row: int, what: str, key=None) -> list:
+    """Apply ``parse`` to every row; an error names ``origin`` and the row number.
+
+    ``key`` maps a parsed record to a description that must be unique in
+    the file.  No rows at all is an error too.
+    """
+    records, seen = [], set()
+    for row_no, row in enumerate(rows, first_row):
+        try:
+            record = parse(row)
+            if key is not None:
+                tag = key(record)
+                if tag in seen:
+                    raise ValueError(f"duplicate {tag}")
+                seen.add(tag)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{origin}, row {row_no}: {exc}") from exc
+        records.append(record)
+    if not records:
+        raise ValueError(f"{origin}: no {what} found")
+    return records
+
+
+def _read_csv(path, fields: Sequence[str], parse: Callable, what: str, key=None) -> list:
+    """Parse each data row of a CSV with a header that holds ``fields``."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        missing = [f for f in fields if f not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing required columns {missing} (header row is required)")
+        return _parse_rows(reader, parse, path, 2, what, key)
+
+
+def write_atomic(path, write: Callable[[TextIO], object]) -> None:
+    """Let ``write`` fill a temp file beside ``path``, then move it into place."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    def write(handle):
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    write_atomic(path, write)
+
+
+def _study_summary(row) -> StudySummary:
+    return StudySummary(
+        study_id=str(row["study_id"]),
+        m=tuple(_float(row, f"m{k}") for k in "123"),
+        sd=tuple(_float(row, f"sd{k}") for k in "123"),
+        n=tuple(_int(row, f"n{k}") for k in "123"),
+    )
 
 
 def read_study_summaries(path) -> list[StudySummary]:
     """Parse study summaries from CSV (or a JSON list with the same fields)."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        records = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(records, list):
-            raise ValueError(f"{path}: expected a JSON list of study objects")
-        return [_summary_from_mapping(rec, i + 1, path) for i, rec in enumerate(records)]
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _check_header(reader, STUDY_FIELDS, path)
-        return [_summary_from_mapping(row, i + 2, path) for i, row in enumerate(reader)]
+    if path.suffix.lower() != ".json":
+        return _read_csv(path, STUDY_FIELDS, _study_summary, "studies")
+    records = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a JSON list of study objects")
+    return _parse_rows(records, _study_summary, path, 1, "studies")
 
 
 def write_effects(
@@ -75,87 +142,47 @@ def write_effects(
     iterations: int | None = None,
     precision: int = DEFAULT_PRECISION,
 ) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(EFFECT_FIELDS)
-        for eff in effects:
-            is_sim = eff.method == "simulation"
-            writer.writerow(
-                [
-                    eff.study_id,
-                    eff.method,
-                    fmt(eff.beta, precision),
-                    fmt(eff.sd_beta, precision),
-                    fmt(eff.d, precision),
-                    fmt(eff.g, precision),
-                    fmt(eff.v_g, precision),
-                    seed if is_sim and seed is not None else "",
-                    iterations if is_sim and iterations is not None else "",
-                ]
-            )
+    """Write effect rows; ``seed`` and ``iterations`` fill simulation rows only."""
+    _write_csv(path, EFFECT_FIELDS, [
+        [eff.study_id, eff.method]
+        + [fmt(v, precision) for v in (eff.beta, eff.sd_beta, eff.d, eff.g, eff.v_g)]
+        + [v if eff.method == "simulation" and v is not None else "" for v in (seed, iterations)]
+        for eff in effects
+    ])
 
 
 def read_effects(path) -> list[tuple[str, float, float]]:
     """Read (study_id, g, v_g) triples from an effects CSV."""
-    path = Path(path)
-    rows = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _check_header(reader, ["study_id", "g", "v_g"], path)
-        for i, row in enumerate(reader):
-            try:
-                rows.append((str(row["study_id"]), float(row["g"]), float(row["v_g"])))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, row {i + 2}: {exc}") from exc
-    return rows
+    return _read_csv(path, ["study_id", "g", "v_g"],
+                     lambda row: (str(row["study_id"]), _float(row, "g"), _float(row, "v_g")), "effects")
 
 
 def write_meta_result(path, result: MetaResult, precision: int = DEFAULT_PRECISION) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(META_FIELDS)
-        writer.writerow(
-            [
-                result.k,
-                fmt(result.g_wm, precision),
-                fmt(result.v_wm, precision),
-                fmt(result.tau2, precision),
-                fmt(result.ci_lo, precision),
-                fmt(result.ci_hi, precision),
-            ]
-        )
+    values = (result.g_wm, result.v_wm, result.tau2, result.ci_lo, result.ci_hi)
+    _write_csv(path, META_FIELDS, [[result.k] + [fmt(v, precision) for v in values]])
+
+
+def _or_record(row) -> tuple[str, ORRecord]:
+    return str(row["study_id"]), ORRecord(
+        label=row["label"],
+        or_value=_float(row, "or"),
+        ci_lo=_float(row, "ci_lo"),
+        ci_hi=_float(row, "ci_hi"),
+        m_top=_int(row, "m_top"),
+        m_bottom=_int(row, "m_bottom"),
+    )
 
 
 def read_or_records(path) -> list[tuple[str, ORRecord, ORRecord]]:
     """Read OR-record pairs, one AB_vs_AA and one BB_vs_AB per study."""
     path = Path(path)
+    records = _read_csv(path, OR_INPUT_FIELDS, _or_record, "odds-ratio records",
+                        key=lambda rec: f"{rec[1].label} record for study {rec[0]!r}")
     per_study: dict[str, dict[str, ORRecord]] = {}
-    order: list[str] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _check_header(reader, OR_INPUT_FIELDS, path)
-        for i, row in enumerate(reader):
-            try:
-                study = str(row["study_id"])
-                record = ORRecord(
-                    label=row["label"],
-                    or_value=float(row["or"]),
-                    ci_lo=float(row["ci_lo"]),
-                    ci_hi=float(row["ci_hi"]),
-                    m_top=int(float(row["m_top"])),
-                    m_bottom=int(float(row["m_bottom"])),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, row {i + 2}: {exc}") from exc
-            slot = per_study.setdefault(study, {})
-            if record.label in slot:
-                raise ValueError(f"{path}, row {i + 2}: duplicate {record.label} record for study {study!r}")
-            if study not in order:
-                order.append(study)
-            slot[record.label] = record
+    for study, record in records:
+        per_study.setdefault(study, {})[record.label] = record
     pairs = []
-    for study in order:
-        slot = per_study[study]
+    for study, slot in per_study.items():
         missing = {"AB_vs_AA", "BB_vs_AB"} - set(slot)
         if missing:
             raise ValueError(f"{path}: study {study!r} is missing {sorted(missing)} record(s)")
@@ -168,20 +195,12 @@ def write_combined_ors(
     rows: Iterable[tuple[str, MergedTable, CombinedOR]],
     precision: int = DEFAULT_PRECISION,
 ) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(OR_OUTPUT_FIELDS)
-        for study, merged, combined in rows:
-            writer.writerow(
-                [
-                    study,
-                    fmt(combined.or_value, precision),
-                    fmt(combined.ci_lo, precision),
-                    fmt(combined.ci_hi, precision),
-                    merged.pairing,
-                    fmt(merged.ab_distance, precision),
-                ]
-            )
+    _write_csv(path, OR_OUTPUT_FIELDS, [
+        [study]
+        + [fmt(v, precision) for v in (combined.or_value, combined.ci_lo, combined.ci_hi)]
+        + [merged.pairing, fmt(merged.ab_distance, precision)]
+        for study, merged, combined in rows
+    ])
 
 
 def read_scenario(path, **overrides) -> Scenario:
@@ -222,28 +241,18 @@ def read_scenario(path, **overrides) -> Scenario:
 
 
 def write_bias_reports(path, reports: Iterable[BiasReport], precision: int = DEFAULT_PRECISION) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BIAS_FIELDS)
-        for rep in reports:
-            s = rep.scenario
-            writer.writerow(
-                [s.density, s.n_studies, fmt(s.sigma_ws, precision)]
-                + [fmt(v, precision) for v in s.mean_vec]
-                + list(s.n_triplet)
-                + [
-                    fmt(rep.bias_g_crude, precision),
-                    fmt(rep.bias_gwm_crude, precision),
-                    fmt(rep.bias_g_sim, precision),
-                    fmt(rep.bias_gwm_sim, precision),
-                    fmt(rep.mc_se_g_crude, precision),
-                    fmt(rep.mc_se_gwm_crude, precision),
-                    fmt(rep.mc_se_g_sim, precision),
-                    fmt(rep.mc_se_gwm_sim, precision),
-                    s.mc_reps,
-                    s.inner_iterations,
-                    s.seed,
-                    s.truncation,
-                    rep.retries,
-                ]
-            )
+    def row(rep: BiasReport) -> list:
+        s = rep.scenario
+        biases = (
+            rep.bias_g_crude, rep.bias_gwm_crude, rep.bias_g_sim, rep.bias_gwm_sim,
+            rep.mc_se_g_crude, rep.mc_se_gwm_crude, rep.mc_se_g_sim, rep.mc_se_gwm_sim,
+        )
+        return (
+            [s.density, s.n_studies, fmt(s.sigma_ws, precision)]
+            + [fmt(v, precision) for v in s.mean_vec]
+            + list(s.n_triplet)
+            + [fmt(v, precision) for v in biases]
+            + [s.mc_reps, s.inner_iterations, s.seed, s.truncation, rep.retries]
+        )
+
+    _write_csv(path, BIAS_FIELDS, [row(rep) for rep in reports])

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from addmeta.cli import _full_grid, main
+from addmeta.bias_study import (
+    DENSITIES,
+    MEAN_VECTORS,
+    N_TRIPLETS,
+    SIGMA_WS_VALUES,
+    STUDY_COUNTS,
+    full_grid,
+)
+from addmeta.cli import main
 
 
 def read_rows(path):
@@ -208,9 +216,20 @@ class TestMcCommand:
         assert "scenario config" in capsys.readouterr().err
 
     def test_full_grid_enumerates_every_cell(self):
-        scenarios = list(_full_grid(1, 1, 0, "paper"))
+        scenarios = full_grid(1, 1, 0, "paper")
         assert len(scenarios) == 4 * 3 * 2 * 3 * 8
         assert len(set(scenarios)) == len(scenarios)
+        # mc --full-grid writes rows in this nested-loop order
+        nested = [
+            (density, n_studies, sigma_ws, mean_vec, n_triplet)
+            for density in DENSITIES
+            for n_studies in STUDY_COUNTS
+            for sigma_ws in SIGMA_WS_VALUES
+            for mean_vec in MEAN_VECTORS
+            for n_triplet in N_TRIPLETS
+        ]
+        assert [(s.density, s.n_studies, s.sigma_ws, s.mean_vec, s.n_triplet) for s in scenarios] == nested
+        assert {(s.mc_reps, s.inner_iterations, s.seed, s.truncation) for s in scenarios} == {(1, 1, 0, "paper")}
 
     def test_scenario_study_count_key_aliases(self, tmp_path):
         from addmeta.io import read_scenario

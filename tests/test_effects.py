@@ -33,6 +33,16 @@ class TestStudySummary:
         with pytest.raises(ValueError, match="standard deviations"):
             StudySummary("x", (1, 2, 3), (1, 0, 1), (5, 5, 5))
 
+    @pytest.mark.parametrize("m, sd", [
+        ((math.nan, 2, 3), (1, 1, 1)),
+        ((1, 2, math.inf), (1, 1, 1)),
+        ((1, 2, 3), (1, math.nan, 1)),
+        ((1, 2, 3), (1, 1, math.inf)),
+    ], ids=["m-nan", "m-inf", "sd-nan", "sd-inf"])
+    def test_rejects_non_finite_statistics(self, m, sd):
+        with pytest.raises(ValueError, match="finite"):
+            StudySummary("x", m, sd, (5, 5, 5))
+
     def test_rejects_tiny_groups(self):
         with pytest.raises(ValueError, match="sample sizes"):
             StudySummary("x", (1, 2, 3), (1, 1, 1), (5, 1, 5))
