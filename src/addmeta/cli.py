@@ -28,7 +28,12 @@ from .odds_recovery import combine_reported_ors
 from .pooling import pool_random_effects
 from .simulate import DEFAULT_ITERATIONS, DEFAULT_SEED, SimConfig, sim_effect
 
-EFFECT_ROW_STREAM = 401
+EFFECT_STUDY_STREAM = 401
+
+
+def _study_key(study_id: str) -> int:
+    """An integer key that is a one-to-one function of ``study_id``."""
+    return int.from_bytes(b"\x01" + study_id.encode("utf-8"), "big")
 
 
 def _positive_int(text: str) -> int:
@@ -58,9 +63,13 @@ def _cmd_effect(args) -> None:
     if args.method == "crude":
         effects = [crude_effect(s, standardizer=args.standardizer) for s in summaries]
     else:
+        # each study's stream is keyed by its id, so it does not depend on the other rows
         effects = [
-            sim_effect(s, SimConfig(iterations=args.iterations, seed=derive_seed(args.seed, EFFECT_ROW_STREAM, idx)))
-            for idx, s in enumerate(summaries)
+            sim_effect(s, SimConfig(
+                iterations=args.iterations,
+                seed=derive_seed(args.seed, EFFECT_STUDY_STREAM, _study_key(s.study_id)),
+            ))
+            for s in summaries
         ]
     io.write_effects(args.output, effects, args.seed, args.iterations, args.precision)
 

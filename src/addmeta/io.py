@@ -124,15 +124,22 @@ def _study_summary(row) -> StudySummary:
     )
 
 
+def _study_id(summary: StudySummary) -> str:
+    return f"study_id {summary.study_id!r}"
+
+
 def read_study_summaries(path) -> list[StudySummary]:
-    """Parse study summaries from CSV (or a JSON list with the same fields)."""
+    """Parse study summaries from CSV (or a JSON list with the same fields).
+
+    Each ``study_id`` may appear once: it keys the study's simulation stream.
+    """
     path = Path(path)
     if path.suffix.lower() != ".json":
-        return _read_csv(path, STUDY_FIELDS, _study_summary, "studies")
+        return _read_csv(path, STUDY_FIELDS, _study_summary, "studies", key=_study_id)
     records = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON list of study objects")
-    return _parse_rows(records, _study_summary, path, 1, "studies")
+    return _parse_rows(records, _study_summary, path, 1, "studies", key=_study_id)
 
 
 def write_effects(

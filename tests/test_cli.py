@@ -88,6 +88,33 @@ class TestEffectCommand:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sim_rows_do_not_depend_on_row_order(self, table2_csv, tmp_path):
+        lines = table2_csv.read_text().splitlines(keepends=True)
+        reordered = tmp_path / "reversed.csv"
+        reordered.write_text("".join([lines[0]] + lines[:0:-1]))
+        subset = tmp_path / "subset.csv"
+        subset.write_text("".join([lines[0], lines[2]]))
+        args = ["effect", "--method", "sim", "--iterations", "500", "--seed", "3"]
+        outputs = []
+        for name, src in (("a", table2_csv), ("b", reordered), ("c", subset)):
+            out = tmp_path / f"{name}.out.csv"
+            assert main(args + [str(src), "-o", str(out)]) == 0
+            outputs.append(out.read_text().splitlines()[1:])
+        original, reversed_rows, subset_rows = outputs
+        assert reversed_rows == original[::-1]
+        assert subset_rows == [original[1]]
+
+    def test_duplicate_study_id_rejected_with_row_number(self, tmp_path, capsys):
+        src = tmp_path / "dup.csv"
+        src.write_text(
+            "study_id,m1,m2,m3,sd1,sd2,sd3,n1,n2,n3\n"
+            "A,1,2,3,1,1,1,5,5,5\n"
+            "A,1,2,4,1,1,1,5,5,5\n"
+        )
+        assert main(["effect", str(src), "-o", str(tmp_path / "o.csv")]) == 1
+        assert "row 3: duplicate study_id 'A'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.csv"]
+
     def test_manifest_written(self, table2_csv, tmp_path):
         out = tmp_path / "c.csv"
         main(["effect", str(table2_csv), "-o", str(out)])

@@ -35,7 +35,7 @@ def write_studies(path: Path, rows) -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rows=st.lists(study_rows, min_size=1, max_size=4),
+    rows=st.lists(study_rows, min_size=1, max_size=4, unique_by=lambda row: row[0]),
     pick=st.data(),
     bad=st.sampled_from(["nan", "inf", "-inf", ""]),
 )
