@@ -99,7 +99,8 @@ def _cmd_mc(args) -> None:
                 truncation=args.truncation,
             )
         ]
-    io.write_bias_reports(args.output, [run_scenario(s, workers=args.workers) for s in scenarios], args.precision)
+    reports = [run_scenario(s, workers=args.workers) for s in scenarios]
+    io.write_bias_reports(args.output, reports, args.precision)
 
 
 def _cmd_or(args) -> None:

@@ -51,7 +51,7 @@ class StudySummary:
         object.__setattr__(self, "m", tuple(float(x) for x in self.m))
         object.__setattr__(self, "sd", tuple(float(x) for x in self.sd))
         if not all(math.isfinite(x) for x in self.m + self.sd):
-            raise ValueError(f"{self.study_id}: means and standard deviations must be finite, got {self.m}, {self.sd}")
+            raise ValueError(f"{self.study_id}: means and SDs must be finite, got {self.m}, {self.sd}")
         if any(s <= 0 for s in self.sd):
             raise ValueError(f"{self.study_id}: all standard deviations must be > 0, got {self.sd}")
         n = tuple(int(x) for x in self.n)
