@@ -202,8 +202,10 @@ class Scenario:
         object.__setattr__(self, "n_triplet", tuple(int(x) for x in self.n_triplet))
         if self.n_triplet not in N_TRIPLETS:
             raise ValueError(f"n_triplet must be one of {N_TRIPLETS}, got {self.n_triplet}")
-        if self.mc_reps < 1 or self.inner_iterations < 1:
-            raise ValueError("mc_reps and inner_iterations must be >= 1")
+        if self.mc_reps < 2:
+            raise ValueError(f"mc_reps must be >= 2 for a Monte Carlo SE, got {self.mc_reps}")
+        if self.inner_iterations < 1:
+            raise ValueError(f"inner_iterations must be >= 1, got {self.inner_iterations}")
         if self.truncation not in ("paper", "per-group"):
             raise ValueError(f"truncation must be 'paper' or 'per-group', got {self.truncation!r}")
 
@@ -304,7 +306,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     bit-identical for any worker count.
     """
     reps = scenario.mc_reps
-    if workers > 1 and reps > 1:
+    if workers > 1:
         chunk = max(1, reps // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(partial(_replicate, scenario), range(reps), chunksize=chunk))
@@ -313,23 +315,6 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
 
     columns = list(zip(*rows))
     means = [math.fsum(col) / reps for col in columns[:4]]
-
-    def mc_se(col, mean):
-        if reps < 2:
-            return float("nan")
-        var = math.fsum((x - mean) ** 2 for x in col) / (reps - 1)
-        return math.sqrt(var / reps)
-
-    ses = [mc_se(col, mean) for col, mean in zip(columns[:4], means)]
-    return BiasReport(
-        scenario=scenario,
-        bias_g_crude=means[0],
-        bias_gwm_crude=means[1],
-        bias_g_sim=means[2],
-        bias_gwm_sim=means[3],
-        mc_se_g_crude=ses[0],
-        mc_se_gwm_crude=ses[1],
-        mc_se_g_sim=ses[2],
-        mc_se_gwm_sim=ses[3],
-        retries=sum(columns[4]),
-    )
+    ses = [math.sqrt(math.fsum((x - mean) ** 2 for x in col) / (reps - 1) / reps)
+           for col, mean in zip(columns[:4], means)]
+    return BiasReport(scenario, *means, *ses, retries=sum(columns[4]))

@@ -228,23 +228,34 @@ def read_scenario(path, **overrides) -> Scenario:
         raise ValueError(f"{path}: unknown scenario keys {sorted(unknown)}")
     if "L" in data and "n_studies" in data and data["L"] != data["n_studies"]:
         raise ValueError(f"{path}: conflicting 'L' and 'n_studies' values")
-    if "L" in data:
-        data["n_studies"] = data.pop("L")
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    if "n_studies" in data:
+        data["L"] = data.pop("n_studies")
+    data = {
+        "mc_reps": Scenario.mc_reps, "inner_iterations": Scenario.inner_iterations, "seed": Scenario.seed,
+        **data, **{k: v for k, v in overrides.items() if v is not None},
+    }
+
+    def numbers(key, parse):
+        # each element is parsed under a name such as "mean_vec[0]"
+        items = {f"{key}[{i}]": value for i, value in enumerate(data[key])}
+        return tuple(parse(items, name) for name in items)
+
     try:
         return Scenario(
             density=data["density"],
-            n_studies=int(data["n_studies"]),
-            mean_vec=tuple(data["mean_vec"]),
-            sigma_ws=float(data["sigma_ws"]),
-            n_triplet=tuple(data["n_triplet"]),
-            mc_reps=int(data.get("mc_reps", Scenario.mc_reps)),
-            inner_iterations=int(data.get("inner_iterations", Scenario.inner_iterations)),
-            seed=int(data.get("seed", Scenario.seed)),
+            n_studies=_int(data, "L"),
+            mean_vec=numbers("mean_vec", _float),
+            sigma_ws=_float(data, "sigma_ws"),
+            n_triplet=numbers("n_triplet", _int),
+            mc_reps=_int(data, "mc_reps"),
+            inner_iterations=_int(data, "inner_iterations"),
+            seed=_int(data, "seed"),
             truncation=data.get("truncation", "paper"),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing scenario key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_bias_reports(path, reports: Iterable[BiasReport], precision: int = DEFAULT_PRECISION) -> None:

@@ -9,12 +9,17 @@ is averaged over the iterations, and the averaged d then goes through the
 same pairwise d-to-g machinery as the crude estimator.
 
 The fit depends on a drawn dataset only through its three group means and
-its within-group sum of squares, and under normal regeneration these are
-independent: group k's mean is N(m_k, sd_k^2 / n_k) and its sum of squares
-is sd_k^2 * chi-square(n_k - 1).  Each iteration therefore draws these
-sufficient statistics (six numbers) instead of N individuals; the
-estimate has the same distribution.  All iterations of a study draw from
-one random substream keyed by the seed.
+its within-group sum of squares (SSE), and under normal regeneration these
+are independent: group k's mean is m_k + (sd_k / sqrt(n_k)) z_k with z_k
+standard normal, and its SSE is sd_k^2 * chi-square(n_k - 1).  Each
+iteration therefore draws these six numbers instead of N individuals; the
+estimate has the same distribution.  The fit is two fixed contrasts of the
+means.  The slope is sum_k w_k m_k with w_k = n_k (c_k - cbar) / S_xx; the
+grand mean drops out because sum_k n_k (c_k - cbar) = 0.  The means' lack
+of fit to the line is (m_1 - 2 m_2 + m_3)^2 / (1/n_1 + 4/n_2 + 1/n_3), and
+RSS is the SSE plus that.  Each group's location and scale fold into the
+contrast weights, so no matrix of drawn means is built.  All iterations of
+a study draw from one random substream keyed by the seed.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from .effects import AdditiveEffect, StudySummary, effect_from_d
 
 DEFAULT_SEED = 20270405
 DEFAULT_ITERATIONS = 10_000
+
+_CODES = np.array([1.0, 2.0, 3.0])
+_CURVATURE = np.array([1.0, -2.0, 1.0])
 
 
 class DegenerateSampleError(RuntimeError):
@@ -69,36 +77,29 @@ class SimStats:
 
 
 class _Design:
-    """Constants of the additive regression for fixed group sizes."""
+    """N, slope weights and curvature scale of the additive fit for fixed group sizes."""
 
     def __init__(self, n: Sequence[int]):
-        self.n = np.asarray(n, dtype=float)
-        self.codes = np.array([1.0, 2.0, 3.0])
-        self.n_total = float(self.n.sum())
-        self.code_mean = float((self.n * self.codes).sum() / self.n_total)
-        self.s_xx = float((self.n * (self.codes - self.code_mean) ** 2).sum())
+        n = np.asarray(n, dtype=float)
+        self.n_total = float(n.sum())
+        centered = _CODES - float((n * _CODES).sum()) / self.n_total
+        self.slope_weights = n * centered / float((n * centered**2).sum())
+        self.curvature_scale = 1.0 / float((_CURVATURE**2 / n).sum())
 
+    def fit(self, z: np.ndarray, sse: np.ndarray, loc=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0)):
+        """Slope and residual sd, sqrt(RSS / (N - 2)), of group means ``loc + scale * z[i]``.
 
-def _residual_sd(design: _Design, means: np.ndarray, sse_within: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Residual standard deviation of the additive fit, sqrt(RSS / (N - 2)).
-
-    ``means`` is (iterations, 3), ``sse_within`` the per-iteration sum of
-    squared deviations from the group means.  RSS is the within-group sum of
-    squares plus the group means' lack of fit to the line; summing the two
-    nonnegative parts avoids cancellation when both are tiny.
-    """
-    grand = (means * design.n).sum(axis=1) / design.n_total
-    intercept = grand - betas * design.code_mean
-    fitted = intercept[:, None] + betas[:, None] * design.codes[None, :]
-    lack_of_fit = (design.n * (means - fitted) ** 2).sum(axis=1)
-    return np.sqrt((sse_within + lack_of_fit) / (design.n_total - 2.0))
-
-
-def _slope(design: _Design, means: np.ndarray) -> np.ndarray:
-    centered = design.codes - design.code_mean
-    grand = (means * design.n).sum(axis=1) / design.n_total
-    s_xy = (centered * design.n * (means - grand[:, None])).sum(axis=1)
-    return s_xy / design.s_xx
+        RSS is the within-group ``sse`` plus the lack of fit: two
+        nonnegative parts, so it does not cancel when both are tiny.  Each
+        contrast is three column terms, not a matrix product over the rows.
+        """
+        betas = np.full(len(sse), sum(w * m for w, m in zip(self.slope_weights, loc)))
+        curvature = np.full(len(sse), sum(h * m for h, m in zip(_CURVATURE, loc)))
+        for k in range(3):
+            betas += (self.slope_weights[k] * scale[k]) * z[:, k]
+            curvature += (_CURVATURE[k] * scale[k]) * z[:, k]
+        rss = sse + self.curvature_scale * curvature * curvature
+        return betas, np.sqrt(rss / (self.n_total - 2.0))
 
 
 def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
@@ -110,26 +111,29 @@ def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
     """
     if len(groups) != 3:
         raise ValueError(f"expected 3 groups, got {len(groups)}")
-    design = _Design([len(g) for g in groups])
-    means = np.array([[float(np.mean(g)) for g in groups]])
-    sse = np.array([sum(float(((g - np.mean(g)) ** 2).sum()) for g in groups)])
-    beta = _slope(design, means)
-    sd = _residual_sd(design, means, sse, beta)
-    if sd[0] == 0.0:
+    means = [float(np.mean(g)) for g in groups]
+    sse = sum(float(((g - m) ** 2).sum()) for g, m in zip(groups, means))
+    betas, sds = _Design([len(g) for g in groups]).fit(np.array([means]), np.array([sse]))
+    beta, sd = float(betas[0]), float(sds[0])
+    if sd == 0.0:
         raise DegenerateSampleError("sample has zero variance in every group and no slope")
-    return SimDraw(beta=float(beta[0]), sd=float(sd[0]), d=float(beta[0] / sd[0]))
+    return SimDraw(beta=beta, sd=sd, d=beta / sd)
 
 
 def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-iteration slope, residual sd and d of the regenerated datasets."""
-    design = _Design(summary.n)
+    """Per-iteration slope, residual sd and d of the regenerated datasets.
+
+    ``z`` is the stream that ``rng.normal(m, sd / sqrt(n), shape)`` consumes.
+    """
+    n = np.asarray(summary.n, dtype=float)
+    design = _Design(n)
     rng = substream(config.seed, SIM_DRAWS)
     shape = (config.iterations, 3)
     sd = np.asarray(summary.sd, dtype=float)
-    means = rng.normal(summary.m, sd / np.sqrt(design.n), shape)
-    sse = (sd * sd * rng.chisquare(design.n - 1.0, shape)).sum(axis=1)
-    betas = _slope(design, means)
-    sds = _residual_sd(design, means, sse, betas)
+    z = rng.standard_normal(shape)
+    chi2 = rng.chisquare(n - 1.0, shape)
+    sse = sd[0] ** 2 * chi2[:, 0] + sd[1] ** 2 * chi2[:, 1] + sd[2] ** 2 * chi2[:, 2]
+    betas, sds = design.fit(z, sse, summary.m, sd / np.sqrt(n))
     if np.any(sds == 0.0):
         raise DegenerateSampleError("zero-variance draw in simulation")
     return betas, sds, betas / sds
@@ -158,9 +162,8 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
     ``beta`` and ``sd_beta`` of the result are iteration means of the
     per-draw slope and residual sd; ``d`` is the iteration mean of the
     per-draw ratio (so ``d`` differs from ``beta/sd_beta`` by
-    O(1/iterations)).  The
-    pairwise g machinery is applied to the averaged d exactly as in the
-    crude estimator.
+    O(1/iterations)).  The pairwise g machinery is applied to the averaged
+    d exactly as in the crude estimator.
     """
     stats = simulate_study(summary, config)
     return effect_from_d(

@@ -161,6 +161,9 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
                      n_triplet=(10, 15, 5), mc_reps=0)
+        with pytest.raises(ValueError, match="mc_reps must be >= 2"):
+            Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
+                     n_triplet=(10, 15, 5), mc_reps=1)
 
 
 SMALL = Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,

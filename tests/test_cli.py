@@ -243,7 +243,7 @@ class TestMcCommand:
         assert "scenario config" in capsys.readouterr().err
 
     def test_full_grid_enumerates_every_cell(self):
-        scenarios = full_grid(1, 1, 0, "paper")
+        scenarios = full_grid(2, 1, 0, "paper")
         assert len(scenarios) == 4 * 3 * 2 * 3 * 8
         assert len(set(scenarios)) == len(scenarios)
         # mc --full-grid writes rows in this nested-loop order
@@ -256,7 +256,7 @@ class TestMcCommand:
             for n_triplet in N_TRIPLETS
         ]
         assert [(s.density, s.n_studies, s.sigma_ws, s.mean_vec, s.n_triplet) for s in scenarios] == nested
-        assert {(s.mc_reps, s.inner_iterations, s.seed, s.truncation) for s in scenarios} == {(1, 1, 0, "paper")}
+        assert {(s.mc_reps, s.inner_iterations, s.seed, s.truncation) for s in scenarios} == {(2, 1, 0, "paper")}
 
     def test_scenario_study_count_key_aliases(self, tmp_path):
         from addmeta.io import read_scenario

@@ -146,3 +146,35 @@ def test_manifest_options_record_every_parsed_option(tmp_path, monkeypatch):
         "input": str(config), "full_grid": False, "reps": None, "inner_iterations": None,
         "seed": 4, "truncation": None, "workers": 1, "precision": 6,
     }
+
+
+SCENARIO = ('{"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 5.0, '
+            '"n_triplet": [10, 15, 5], "inner_iterations": 20, ')
+
+
+@pytest.mark.parametrize("setting, key", [
+    ('"mc_reps": 1e400', "mc_reps"),
+    ('"mc_reps": 2.7', "mc_reps"),
+    ('"mc_reps": 1', "mc_reps"),
+    ('"mc_reps": "many"', "mc_reps"),
+    ('"seed": NaN', "seed"),
+    ('"mc_reps": 2, "mean_vec": [4, "x", 7]', "mean_vec[1]"),
+    ('"mc_reps": 2, "n_triplet": [10, 15.5, 5]', "n_triplet[1]"),
+    ('"mc_reps": 2, "L": 1e400', "L"),
+])
+def test_invalid_scenario_numbers_exit_1_with_path_and_key(setting, key, tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(SCENARIO + setting + "}")
+    assert main(["mc", str(config), "-o", str(tmp_path / "bias.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}: {key}" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_one_replicate_from_the_command_line_is_refused(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(SCENARIO + '"mc_reps": 4}')
+    assert main(["mc", str(config), "--reps", "1", "-o", str(tmp_path / "bias.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}: mc_reps must be >= 2" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]

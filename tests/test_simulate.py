@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from addmeta._rng import SIM_DRAWS, substream
 from addmeta.effects import StudySummary
 from addmeta.simulate import (
     DegenerateSampleError,
@@ -69,6 +72,35 @@ class TestAdditiveRegression:
         draw = additive_regression([np.full(5, 1.0), np.full(5, 2.5), np.full(5, 3.0)])
         assert draw.sd > 0
         assert np.isfinite(draw.d)
+
+
+def _lstsq_fit(groups):
+    """Slope and residual sd from least squares on the individual data."""
+    y = np.concatenate(groups)
+    x = np.concatenate([np.full(len(g), code) for g, code in zip(groups, (1.0, 2.0, 3.0))])
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return coef[1], math.sqrt(resid @ resid / (len(y) - 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.tuples(*[st.integers(2, 400)] * 3),
+    offset=st.floats(-1e4, 1e4),
+    slope=st.floats(-1.0, 1.0),
+    spreads=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contrast_fit_matches_least_squares(n, offset, slope, spreads, seed):
+    rng = np.random.default_rng(seed)
+    groups = [offset + slope * code + rng.normal(0.0, spread, size=k)
+              for code, spread, k in zip((1, 2, 3), spreads, n)]
+    draw = additive_regression(groups)
+    beta, sd = _lstsq_fit(groups)
+    assert draw.sd == pytest.approx(sd, rel=1e-9)
+    # a fitted slope near zero is a difference of large terms: compare it in units of sd too
+    assert draw.beta == pytest.approx(beta, rel=1e-9, abs=1e-9 * sd)
 
 
 def simulate_study_once(summary, rng):
@@ -157,6 +189,29 @@ class TestReferenceEquivalence:
             new_mean, new_mean_se, new_sd, new_sd_se = _moments(new)
             assert abs(ref_mean - new_mean) < 4 * math.hypot(ref_mean_se, new_mean_se), name
             assert abs(ref_sd - new_sd) < 4 * math.hypot(ref_sd_se, new_sd_se), name
+
+
+def test_draws_consume_the_normal_and_chisquare_stream():
+    # the same quantities fitted the long way from the parametrized draws
+    summary, config = SATIETY, SimConfig(iterations=3000, seed=404)
+    n, sd = np.array(summary.n, dtype=float), np.array(summary.sd)
+    rng = substream(config.seed, SIM_DRAWS)
+    means = rng.normal(summary.m, sd / np.sqrt(n), (config.iterations, 3))
+    sse = (sd * sd * rng.chisquare(n - 1.0, (config.iterations, 3))).sum(axis=1)
+    codes = np.array([1.0, 2.0, 3.0])
+    centered = codes - (n * codes).sum() / n.sum()
+    grand = (means * n).sum(axis=1) / n.sum()
+    beta = (n * centered * (means - grand[:, None])).sum(axis=1) / (n * centered**2).sum()
+    fitted = grand[:, None] + beta[:, None] * centered
+    rss = sse + (n * (means - fitted) ** 2).sum(axis=1)
+    ref_sd = np.sqrt(rss / (n.sum() - 2.0))
+
+    betas, sds, ds = _draws(summary, config)
+    # a slope near zero is a difference of terms of the size of the means
+    scale = np.abs(n * centered * means).sum(axis=1) / (n * centered**2).sum()
+    assert np.all(np.abs(betas - beta) <= 1e-12 * scale)
+    np.testing.assert_allclose(sds, ref_sd, rtol=1e-12)
+    np.testing.assert_array_equal(ds, betas / sds)
 
 
 class TestSimEffect:
