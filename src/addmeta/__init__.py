@@ -11,10 +11,8 @@ from .bias_study import (
 )
 from .effects import (
     AdditiveEffect,
-    PairEffect,
     StudySummary,
     cohens_d_variance,
-    combine_pairs,
     crude_beta,
     crude_effect,
     hedges_j,
@@ -53,7 +51,6 @@ __all__ = [
     "MetaResult",
     "MixtureDensity",
     "ORRecord",
-    "PairEffect",
     "Scenario",
     "SimConfig",
     "SimDraw",
@@ -61,7 +58,6 @@ __all__ = [
     "StudySummary",
     "additive_regression",
     "cohens_d_variance",
-    "combine_pairs",
     "combine_reported_ors",
     "combined_or",
     "crude_beta",

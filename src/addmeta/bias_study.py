@@ -206,12 +206,17 @@ class Scenario:
             raise ValueError(f"mc_reps must be >= 2 for a Monte Carlo SE, got {self.mc_reps}")
         if self.inner_iterations < 1:
             raise ValueError(f"inner_iterations must be >= 1, got {self.inner_iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.truncation not in ("paper", "per-group"):
             raise ValueError(f"truncation must be 'paper' or 'per-group', got {self.truncation!r}")
 
 
-def full_grid(reps: int, inner: int, seed: int, truncation: Truncation) -> list[Scenario]:
-    """Every cell of the scenario grid, densities outermost and n-triplets innermost."""
+def full_grid(**fields) -> list[Scenario]:
+    """Every cell of the scenario grid, densities outermost and n-triplets innermost.
+
+    ``fields`` (``mc_reps``, ``seed``, ...) apply to every cell; Scenario supplies the rest.
+    """
     return [
         Scenario(
             density=density,
@@ -219,10 +224,7 @@ def full_grid(reps: int, inner: int, seed: int, truncation: Truncation) -> list[
             mean_vec=mean_vec,
             sigma_ws=sigma_ws,
             n_triplet=n_triplet,
-            mc_reps=reps,
-            inner_iterations=inner,
-            seed=seed,
-            truncation=truncation,
+            **fields,
         )
         for density, n_studies, sigma_ws, mean_vec, n_triplet in itertools.product(
             DENSITIES, STUDY_COUNTS, SIGMA_WS_VALUES, MEAN_VECTORS, N_TRIPLETS

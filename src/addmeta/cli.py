@@ -12,17 +12,12 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import io
 from ._rng import derive_seed
-from .bias_study import (
-    DEFAULT_INNER_ITERATIONS,
-    DEFAULT_REPLICATES,
-    Scenario,
-    full_grid,
-    run_scenario,
-)
+from .bias_study import full_grid, run_scenario
 from .effects import crude_effect
 from .odds_recovery import combine_reported_ors
 from .pooling import pool_random_effects
@@ -36,14 +31,18 @@ def _study_key(study_id: str) -> int:
     return int.from_bytes(b"\x01" + study_id.encode("utf-8"), "big")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
     return value
+
+
+_positive_int = partial(_int_at_least, low=1, what="positive integer")
+_non_negative_int = partial(_int_at_least, low=0, what="non-negative integer")
 
 
 def _write_manifest(args) -> None:
@@ -80,25 +79,16 @@ def _cmd_meta(args) -> None:
 
 
 def _cmd_mc(args) -> None:
+    # the flags given replace the config's values (or the grid's defaults); Scenario checks them
+    given = {"mc_reps": args.reps, "inner_iterations": args.inner_iterations,
+             "seed": args.seed, "truncation": args.truncation}
+    overrides = {key: value for key, value in given.items() if value is not None}
     if args.full_grid:
-        scenarios = full_grid(
-            args.reps or DEFAULT_REPLICATES,
-            args.inner_iterations or DEFAULT_INNER_ITERATIONS,
-            args.seed if args.seed is not None else Scenario.seed,
-            args.truncation or "paper",
-        )
+        scenarios = full_grid(**overrides)
     elif args.input is None:
         raise ValueError("a scenario config file is required unless --full-grid is given")
     else:
-        scenarios = [
-            io.read_scenario(
-                args.input,
-                mc_reps=args.reps,
-                inner_iterations=args.inner_iterations,
-                seed=args.seed,
-                truncation=args.truncation,
-            )
-        ]
+        scenarios = [io.read_scenario(args.input, **overrides)]
     reports = [run_scenario(s, workers=args.workers) for s in scenarios]
     io.write_bias_reports(args.output, reports, args.precision)
 
@@ -133,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "real-data convention) or the mean of the two pairwise pooled SDs",
     )
     p_effect.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    p_effect.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_effect.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
     p_effect.add_argument("--workers", type=_positive_int, default=workers_default,
                           help="accepted for symmetry with mc; has no effect on effect")
     common(p_effect)
@@ -149,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--reps", type=int, default=None, help="override replicate count")
     p_mc.add_argument("--inner-iterations", type=int, default=None,
                       help="override simulation iterations per study")
-    p_mc.add_argument("--seed", type=int, default=None)
+    p_mc.add_argument("--seed", type=_non_negative_int, default=None)
     p_mc.add_argument("--truncation", choices=["paper", "per-group"], default=None)
     p_mc.add_argument("--full-grid", action="store_true",
                       help="run every scenario cell instead of a single config")

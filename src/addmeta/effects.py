@@ -5,7 +5,7 @@ genotype groups (0, 1 and 2 copies of the risk allele), a mean, a standard
 deviation and a sample size of some continuous phenotype.  This module holds
 the summary-statistics container and the "crude" estimator that turns those
 nine numbers into a standardized additive effect (Hedges' g with variance),
-plus the pairwise d-to-g machinery shared with the simulation estimator.
+plus the d-to-g step (``effect_from_d``) shared with the simulation estimator.
 
 Two standardizers are available for the crude slope, reflecting the two
 conventions found in published applications of this estimator:
@@ -67,31 +67,15 @@ class StudySummary:
 
 
 @dataclass(frozen=True)
-class PairEffect:
-    """Standardized effect record for one pair of genotype groups.
-
-    ``g = j * d`` and ``v_g = j**2 * v_d`` hold exactly by construction.
-    """
-
-    d: float
-    v_d: float
-    j: float
-    g: float
-    v_g: float
-    n_lo: int
-    n_hi: int
-
-
-@dataclass(frozen=True)
 class AdditiveEffect:
     """Per-study additive-model effect estimate.
 
     ``beta`` is the slope (phenotype units per risk-allele copy), ``sd_beta``
-    the standardizer, and ``g``/``v_g`` the combined Hedges' g and variance
-    obtained by inverse-variance averaging the two pairwise records.  For the
-    crude method ``d == beta / sd_beta`` exactly; for the simulation method
-    the three fields are separate iteration averages and agree only to
-    O(1/iterations).
+    the standardizer, and ``g``/``v_g`` the inverse-variance mean of the
+    AA-AB and AB-BB pairs' Hedges' g and its variance (see
+    ``effect_from_d``).  For the crude method ``d == beta / sd_beta``
+    exactly; for the simulation method the three fields are separate
+    iteration averages and agree only to O(1/iterations).
     """
 
     study_id: str
@@ -101,8 +85,6 @@ class AdditiveEffect:
     g: float
     v_g: float
     method: Literal["crude", "simulation"]
-    pair12: PairEffect
-    pair23: PairEffect
 
 
 def pooled_sd(sd_a: float, n_a: int, sd_b: float, n_b: int) -> float:
@@ -162,35 +144,6 @@ def hedges_j(n_a: int, n_b: int) -> float:
     return 1.0 - 3.0 / denom
 
 
-def combine_pairs(pair12: PairEffect, pair23: PairEffect) -> tuple[float, float]:
-    """Inverse-variance weighted combination of two pairwise g records.
-
-    Returns the weighted mean ``(g12/V12 + g23/V23) / (1/V12 + 1/V23)`` and
-    its variance ``1 / (1/V12 + 1/V23)``.
-    """
-    if pair12.v_g <= 0 or pair23.v_g <= 0:
-        raise ValueError(f"pair variances must be > 0, got ({pair12.v_g}, {pair23.v_g})")
-    w12 = 1.0 / pair12.v_g
-    w23 = 1.0 / pair23.v_g
-    g = (pair12.g * w12 + pair23.g * w23) / (w12 + w23)
-    return g, 1.0 / (w12 + w23)
-
-
-def pairwise_effects(d: float, n: Sequence[int]) -> tuple[PairEffect, PairEffect]:
-    """Build the two pairwise records for one combined d.
-
-    Both pairs reuse the single additive-model d; only the variance and the
-    small-sample correction are pair-specific.
-    """
-    n1, n2, n3 = n
-    pairs = []
-    for n_lo, n_hi in ((n1, n2), (n2, n3)):
-        j = hedges_j(n_lo, n_hi)
-        v_d = cohens_d_variance(n_lo, n_hi, d)
-        pairs.append(PairEffect(d=d, v_d=v_d, j=j, g=j * d, v_g=j * j * v_d, n_lo=n_lo, n_hi=n_hi))
-    return pairs[0], pairs[1]
-
-
 def effect_from_d(
     study_id: str,
     beta: float,
@@ -199,19 +152,29 @@ def effect_from_d(
     n: Sequence[int],
     method: Literal["crude", "simulation"],
 ) -> AdditiveEffect:
-    """Assemble an AdditiveEffect from a combined d and the group sizes."""
-    pair12, pair23 = pairwise_effects(d, n)
-    g, v_g = combine_pairs(pair12, pair23)
+    """Assemble an AdditiveEffect from a combined d and the group sizes.
+
+    Both adjacent-group pairs (AA-AB and AB-BB) reuse the one additive d;
+    only the small-sample correction ``J`` and the variance of d are
+    pair-specific.  Each pair gives Hedges' ``J*d`` with variance
+    ``J**2 * v_d``, and ``g``/``v_g`` are their inverse-variance mean and
+    its variance.
+    """
+    n1, n2, n3 = n
+    weighted = []
+    for n_lo, n_hi in ((n1, n2), (n2, n3)):
+        j = hedges_j(n_lo, n_hi)
+        w = 1.0 / (j * j * cohens_d_variance(n_lo, n_hi, d))
+        weighted.append((j * d * w, w))
+    (gw12, w12), (gw23, w23) = weighted
     return AdditiveEffect(
         study_id=study_id,
         beta=beta,
         sd_beta=sd_beta,
         d=d,
-        g=g,
-        v_g=v_g,
+        g=(gw12 + gw23) / (w12 + w23),
+        v_g=1.0 / (w12 + w23),
         method=method,
-        pair12=pair12,
-        pair23=pair23,
     )
 
 

@@ -158,10 +158,16 @@ def write_effects(
     ])
 
 
+def _effect(row) -> tuple[str, float, float]:
+    g, v_g = _float(row, "g"), _float(row, "v_g")
+    if v_g <= 0:
+        raise ValueError(f"v_g: expected a positive variance, got {row['v_g']!r}")
+    return str(row["study_id"]), g, v_g
+
+
 def read_effects(path) -> list[tuple[str, float, float]]:
-    """Read (study_id, g, v_g) triples from an effects CSV."""
-    return _read_csv(path, ["study_id", "g", "v_g"],
-                     lambda row: (str(row["study_id"]), _float(row, "g"), _float(row, "v_g")), "effects")
+    """Read (study_id, g, v_g) triples from an effects CSV; every v_g must be > 0."""
+    return _read_csv(path, ["study_id", "g", "v_g"], _effect, "effects")
 
 
 def write_meta_result(path, result: MetaResult, precision: int = DEFAULT_PRECISION) -> None:
@@ -214,6 +220,8 @@ def read_scenario(path, **overrides) -> Scenario:
     """Load a Scenario from a JSON key-value config file.
 
     The study count is keyed ``L``; ``n_studies`` is accepted as an alias.
+    ``overrides`` (``mc_reps``, ``inner_iterations``, ``seed``,
+    ``truncation``) replace the file's values.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -230,10 +238,7 @@ def read_scenario(path, **overrides) -> Scenario:
         raise ValueError(f"{path}: conflicting 'L' and 'n_studies' values")
     if "n_studies" in data:
         data["L"] = data.pop("n_studies")
-    data = {
-        "mc_reps": Scenario.mc_reps, "inner_iterations": Scenario.inner_iterations, "seed": Scenario.seed,
-        **data, **{k: v for k, v in overrides.items() if v is not None},
-    }
+    data.update(overrides)
 
     def numbers(key, parse):
         # each element is parsed under a name such as "mean_vec[0]"
@@ -241,16 +246,17 @@ def read_scenario(path, **overrides) -> Scenario:
         return tuple(parse(items, name) for name in items)
 
     try:
+        # an optional key left out takes the Scenario default
+        optional = {key: _int(data, key) for key in ("mc_reps", "inner_iterations", "seed") if key in data}
+        if "truncation" in data:
+            optional["truncation"] = data["truncation"]
         return Scenario(
             density=data["density"],
             n_studies=_int(data, "L"),
             mean_vec=numbers("mean_vec", _float),
             sigma_ws=_float(data, "sigma_ws"),
             n_triplet=numbers("n_triplet", _int),
-            mc_reps=_int(data, "mc_reps"),
-            inner_iterations=_int(data, "inner_iterations"),
-            seed=_int(data, "seed"),
-            truncation=data.get("truncation", "paper"),
+            **optional,
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing scenario key {exc}") from exc

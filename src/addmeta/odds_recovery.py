@@ -19,6 +19,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 Z_95 = 1.96
+MAX_NEWTON_ITERATIONS = 50
 
 Label = Literal["AB_vs_AA", "BB_vs_AB"]
 Branch = Literal["plus", "minus"]
@@ -236,12 +237,12 @@ def select_pairing(
     )
 
 
-def _logistic_fit(y_counts: np.ndarray, totals: np.ndarray, x: np.ndarray, max_iter: int = 50):
+def _logistic_fit(y_counts: np.ndarray, totals: np.ndarray, x: np.ndarray):
     """Newton-Raphson MLE of logit(p) = b0 + b1*x on grouped counts."""
     design = np.column_stack([np.ones_like(x), x])
     beta = np.zeros(2)
     trail = []
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
         eta = design @ beta
         p = 1.0 / (1.0 + np.exp(-eta))
         score = design.T @ (y_counts - totals * p)
@@ -265,10 +266,10 @@ def _logistic_fit(y_counts: np.ndarray, totals: np.ndarray, x: np.ndarray, max_i
             info = design.T @ (weights[:, None] * design)
             covariance = np.linalg.inv(info)
             return beta, covariance, iteration
-    raise ConvergenceError(f"no convergence in {max_iter} iterations; trail={trail}")
+    raise ConvergenceError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations; trail={trail}")
 
 
-def combined_or(merged: MergedTable, max_iter: int = 50) -> CombinedOR:
+def combined_or(merged: MergedTable) -> CombinedOR:
     """Additive-model odds ratio from the merged 3x2 table.
 
     Fits logit(P(present)) = b0 + b1*code by Newton-Raphson on the grouped
@@ -285,7 +286,7 @@ def combined_or(merged: MergedTable, max_iter: int = 50) -> CombinedOR:
     total_present = y.sum()
     if total_present == 0 or total_present == totals.sum():
         raise ValueError("phenotype vector is constant; no odds ratio is identifiable")
-    beta, covariance, iterations = _logistic_fit(y[keep], totals[keep], x[keep], max_iter)
+    beta, covariance, iterations = _logistic_fit(y[keep], totals[keep], x[keep])
     b1 = float(beta[1])
     se = math.sqrt(covariance[1, 1])
     return CombinedOR(

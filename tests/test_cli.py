@@ -143,17 +143,20 @@ class TestEffectCommand:
 
 
 class TestWorkersOption:
-    @pytest.mark.parametrize("argv", [
-        ["effect", "in.csv", "--workers", "0", "-o", "out.csv"],
-        ["mc", "in.json", "--workers", "-3", "-o", "out.csv"],
-        ["mc", "in.json", "--workers", "two", "-o", "out.csv"],
-    ], ids=["effect-zero", "mc-negative", "mc-not-a-number"])
-    def test_invalid_flag_is_a_usage_error(self, argv, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["effect", "in.csv", "--workers", "0", "-o", "out.csv"], "--workers: expected a positive integer"),
+        (["mc", "in.json", "--workers", "-3", "-o", "out.csv"], "--workers: expected a positive integer"),
+        (["mc", "in.json", "--workers", "two", "-o", "out.csv"], "--workers: expected a positive integer"),
+        (["effect", "in.csv", "--method", "sim", "--seed", "-3", "-o", "out.csv"],
+         "--seed: expected a non-negative integer"),
+        (["mc", "in.json", "--seed", "-1", "-o", "out.csv"], "--seed: expected a non-negative integer"),
+    ], ids=["effect-zero", "mc-negative", "mc-not-a-number", "effect-seed-negative", "mc-seed-negative"])
+    def test_invalid_flag_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "usage:" in err and "positive integer" in err
+        assert "usage:" in err and message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["effect", "mc"])
@@ -242,8 +245,22 @@ class TestMcCommand:
         assert main(["mc", "-o", str(tmp_path / "o.csv")]) == 1
         assert "scenario config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--reps", "mc_reps must be >= 2"),
+        ("--inner-iterations", "inner_iterations must be >= 1"),
+    ])
+    def test_full_grid_refuses_a_zero_override(self, flag, message, tmp_path, monkeypatch, capsys):
+        def run_scenario(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr("addmeta.cli.run_scenario", run_scenario)
+        assert main(["mc", "--full-grid", flag, "0", "-o", str(tmp_path / "grid.csv")]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_full_grid_enumerates_every_cell(self):
-        scenarios = full_grid(2, 1, 0, "paper")
+        scenarios = full_grid(mc_reps=2, inner_iterations=1, seed=0, truncation="paper")
         assert len(scenarios) == 4 * 3 * 2 * 3 * 8
         assert len(set(scenarios)) == len(scenarios)
         # mc --full-grid writes rows in this nested-loop order

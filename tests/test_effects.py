@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addmeta.effects import (
-    PairEffect,
     StudySummary,
     cohens_d_variance,
-    combine_pairs,
     crude_beta,
     crude_effect,
+    effect_from_d,
     hedges_j,
-    pairwise_effects,
     pooled_sd,
 )
 
@@ -164,41 +162,62 @@ class TestHedgesJ:
             hedges_j(1, 1)
 
 
-def _pair(g, v):
-    return PairEffect(d=g, v_d=v, j=1.0, g=g, v_g=v, n_lo=10, n_hi=10)
+def _two_pair(d, n):
+    """g and v_g written out: the inverse-variance mean of J*d over (n1, n2) and (n2, n3)."""
+    n1, n2, n3 = n
+    j12, j23 = hedges_j(n1, n2), hedges_j(n2, n3)
+    v12 = j12**2 * cohens_d_variance(n1, n2, d)
+    v23 = j23**2 * cohens_d_variance(n2, n3, d)
+    return (j12 * d / v12 + j23 * d / v23) / (1 / v12 + 1 / v23), 1 / (1 / v12 + 1 / v23)
 
 
 class TestCombinePairs:
+    """effect_from_d's inverse-variance combination of the AA-AB and AB-BB pairs."""
+
     def test_identical_pairs(self):
-        g, v = combine_pairs(_pair(0.37, 0.02), _pair(0.37, 0.02))
-        assert g == pytest.approx(0.37, rel=1e-15)
-        assert v == pytest.approx(0.01, rel=1e-15)
+        # n1 == n3 makes the two pairs identical: g is their common g, at half its variance
+        eff = effect_from_d("s", 0.0, 1.0, 0.37, (30, 12, 30), "crude")
+        j = hedges_j(30, 12)
+        assert eff.g == pytest.approx(j * 0.37, rel=1e-15)
+        assert eff.v_g == pytest.approx(j * j * cohens_d_variance(30, 12, 0.37) / 2, rel=1e-15)
 
     def test_equal_weights_average(self):
-        g, v = combine_pairs(_pair(1.0, 1.0), _pair(0.0, 1.0))
-        assert (g, v) == (pytest.approx(0.5), pytest.approx(0.5))
+        # n = (8, 2, 10): the pairs' J differ, and at one d their variances
+        # J**2 * v_d agree, so g must be the plain mean of two different pair gs
+        n1, n2, n3 = 8, 2, 10
+        j12, j23 = hedges_j(n1, n2), hedges_j(n2, n3)
+        a12, a23 = cohens_d_variance(n1, n2, 0.0), cohens_d_variance(n2, n3, 0.0)
+        b12, b23 = 1 / (2 * (n1 + n2)), 1 / (2 * (n2 + n3))
+        d = ((j23**2 * a23 - j12**2 * a12) / (j12**2 * b12 - j23**2 * b23)) ** 0.5
+        v12 = j12**2 * cohens_d_variance(n1, n2, d)
+        assert v12 == pytest.approx(j23**2 * cohens_d_variance(n2, n3, d), rel=1e-12)
+        assert j12 * d != pytest.approx(j23 * d, rel=1e-3)
+        eff = effect_from_d("s", 0.0, 1.0, d, (n1, n2, n3), "crude")
+        assert eff.g == pytest.approx((j12 * d + j23 * d) / 2, rel=1e-12)
+        assert eff.v_g == pytest.approx(v12 / 2, rel=1e-12)
 
     def test_hand_computed_weighting(self):
-        g, v = combine_pairs(_pair(0.2, 0.01), _pair(0.4, 0.04))
-        assert g == pytest.approx(0.24, rel=1e-12)
-        assert v == pytest.approx(0.008, rel=1e-12)
+        # d = 0.3, pairs (10, 20) and (20, 40):
+        # J12 = 1 - 3/111, v_d12 = 30/200 + 0.09/60 = 0.1515
+        # J23 = 1 - 3/231, v_d23 = 60/800 + 0.09/120 = 0.07575
+        eff = effect_from_d("s", 0.0, 1.0, 0.3, (10, 20, 40), "crude")
+        j12, j23 = 108 / 111, 228 / 231
+        w12, w23 = 1 / (j12**2 * 0.1515), 1 / (j23**2 * 0.07575)
+        assert eff.g == pytest.approx((j12 * 0.3 * w12 + j23 * 0.3 * w23) / (w12 + w23), rel=1e-12)
+        assert eff.v_g == pytest.approx(1 / (w12 + w23), rel=1e-12)
+        assert (eff.g, eff.v_g) == (pytest.approx(0.2946729, rel=1e-6), pytest.approx(0.04872472, rel=1e-6))
 
     @given(
-        g1=st.floats(-3, 3), v1=st.floats(0.001, 5),
-        g2=st.floats(-3, 3), v2=st.floats(0.001, 5),
+        d=st.floats(-3, 3),
+        n=st.tuples(st.integers(2, 500), st.integers(2, 500), st.integers(2, 500)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_swap_invariance_and_convexity(self, g1, v1, g2, v2):
-        a, b = _pair(g1, v1), _pair(g2, v2)
-        g_ab, v_ab = combine_pairs(a, b)
-        g_ba, v_ba = combine_pairs(b, a)
-        assert g_ab == pytest.approx(g_ba, rel=1e-12, abs=1e-12)
-        assert v_ab == pytest.approx(v_ba, rel=1e-12, abs=1e-12)
-        assert min(g1, g2) - 1e-12 <= g_ab <= max(g1, g2) + 1e-12
-
-    def test_nonpositive_variance_rejected(self):
-        with pytest.raises(ValueError):
-            combine_pairs(_pair(0.1, 0.0), _pair(0.1, 0.1))
+    def test_swap_invariance_and_convexity(self, d, n):
+        eff = effect_from_d("s", 0.0, 1.0, d, n, "crude")
+        rev = effect_from_d("s", 0.0, 1.0, d, n[::-1], "crude")
+        assert (rev.g, rev.v_g) == (eff.g, eff.v_g)
+        g12, g23 = hedges_j(n[0], n[1]) * d, hedges_j(n[1], n[2]) * d
+        assert min(g12, g23) - 1e-12 <= eff.g <= max(g12, g23) + 1e-12
 
 
 class TestCrudeEffect:
@@ -222,9 +241,9 @@ class TestCrudeEffect:
 
     def test_pairs_share_the_combined_d(self):
         eff = crude_effect(ZHH)
-        assert eff.pair12.d == eff.d == eff.pair23.d
-        assert eff.pair12.g == pytest.approx(eff.pair12.j * eff.d, rel=1e-15)
-        assert eff.pair23.v_g == pytest.approx(eff.pair23.j**2 * eff.pair23.v_d, rel=1e-15)
+        g, v_g = _two_pair(eff.d, ZHH.n)
+        assert eff.g == pytest.approx(g, rel=1e-15)
+        assert eff.v_g == pytest.approx(v_g, rel=1e-15)
 
     def test_g_between_pair_gs(self):
         rng = np.random.default_rng(11)
@@ -236,13 +255,18 @@ class TestCrudeEffect:
                 tuple(int(v) for v in rng.integers(2, 400, 3)),
             )
             eff = crude_effect(summary)
-            lo = min(eff.pair12.g, eff.pair23.g) - 1e-12
-            hi = max(eff.pair12.g, eff.pair23.g) + 1e-12
+            g12 = hedges_j(summary.n[0], summary.n[1]) * eff.d
+            g23 = hedges_j(summary.n[1], summary.n[2]) * eff.d
+            lo = min(g12, g23) - 1e-12
+            hi = max(g12, g23) + 1e-12
             assert lo <= eff.g <= hi
 
 
 def test_pairwise_effects_uses_right_group_sizes():
-    p12, p23 = pairwise_effects(0.3, (10, 20, 40))
-    assert (p12.n_lo, p12.n_hi) == (10, 20)
-    assert (p23.n_lo, p23.n_hi) == (20, 40)
-    assert p12.v_d == pytest.approx(cohens_d_variance(10, 20, 0.3), rel=1e-15)
+    # the middle group is shared: pairs are (n1, n2) and (n2, n3), never (n1, n3)
+    g, v_g = _two_pair(0.3, (10, 20, 40))
+    eff = effect_from_d("s", 0.0, 1.0, 0.3, (10, 20, 40), "crude")
+    assert (eff.g, eff.v_g) == (pytest.approx(g, rel=1e-15), pytest.approx(v_g, rel=1e-15))
+    moved = effect_from_d("s", 0.0, 1.0, 0.3, (20, 10, 40), "crude")
+    assert moved.v_g != pytest.approx(eff.v_g, rel=1e-6)
+    assert moved.v_g == pytest.approx(_two_pair(0.3, (20, 10, 40))[1], rel=1e-15)

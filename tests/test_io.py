@@ -83,8 +83,10 @@ def test_finite_rows_round_trip_through_crude_effect(rows):
     ("effect", io.STUDY_FIELDS, "A,1,2,3,1,1,1,1e400,5,5", "n1"),
     ("meta", ["study_id", "g", "v_g"], "a,nan,0.1", "g"),
     ("meta", ["study_id", "g", "v_g"], "a,0.1,nan", "v_g"),
+    ("meta", ["study_id", "g", "v_g"], "a,0.1,0", "v_g"),
+    ("meta", ["study_id", "g", "v_g"], "a,0.1,-0.5", "v_g"),
     ("or", io.OR_INPUT_FIELDS, "x,BB_vs_AB,1,0.36,2.81,inf,30", "m_top"),
-], ids=["n1-fraction", "n1-overflow", "g-nan", "v_g-nan", "m_top-inf"])
+], ids=["n1-fraction", "n1-overflow", "g-nan", "v_g-nan", "v_g-zero", "v_g-negative", "m_top-inf"])
 def test_invalid_numbers_exit_1_with_row_and_field(command, header, row, field, tmp_path, capsys):
     good = {"effect": "ok,1,2,3,1,1,1,5,5,5", "meta": "ok,0.2,0.1", "or": "x,AB_vs_AA,3,1.05,8.6,30,30"}
     src = tmp_path / "in.csv"
@@ -161,6 +163,7 @@ SCENARIO = ('{"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 5.0,
     ('"mc_reps": 2, "mean_vec": [4, "x", 7]', "mean_vec[1]"),
     ('"mc_reps": 2, "n_triplet": [10, 15.5, 5]', "n_triplet[1]"),
     ('"mc_reps": 2, "L": 1e400', "L"),
+    ('"mc_reps": 2, "seed": -1', "seed"),
 ])
 def test_invalid_scenario_numbers_exit_1_with_path_and_key(setting, key, tmp_path, capsys):
     config = tmp_path / "scenario.json"

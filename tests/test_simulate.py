@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addmeta._rng import SIM_DRAWS, substream
-from addmeta.effects import StudySummary
+from addmeta.effects import StudySummary, cohens_d_variance, hedges_j
 from addmeta.simulate import (
     DegenerateSampleError,
     SimConfig,
@@ -234,12 +234,13 @@ class TestSimEffect:
 
     def test_pairwise_machinery_applied_to_mean_d(self):
         eff = sim_effect(ZHH, SimConfig(iterations=200, seed=4))
-        assert eff.pair12.d == eff.d == eff.pair23.d
-        assert eff.g == pytest.approx(
-            (eff.pair12.g / eff.pair12.v_g + eff.pair23.g / eff.pair23.v_g)
-            / (1 / eff.pair12.v_g + 1 / eff.pair23.v_g),
-            rel=1e-12,
-        )
+        # both pairs give Hedges' J*d with variance J^2 * v_d from the one mean d
+        (g12, v12), (g23, v23) = [
+            (hedges_j(a, b) * eff.d, hedges_j(a, b) ** 2 * cohens_d_variance(a, b, eff.d))
+            for a, b in ((ZHH.n[0], ZHH.n[1]), (ZHH.n[1], ZHH.n[2]))
+        ]
+        assert eff.g == pytest.approx((g12 / v12 + g23 / v23) / (1 / v12 + 1 / v23), rel=1e-12)
+        assert eff.v_g == pytest.approx(1 / (1 / v12 + 1 / v23), rel=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
