@@ -87,9 +87,10 @@ class MixtureDensity:
             raise ValueError(f"{self.id}: weights and sigmas must be > 0")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"{self.id}: weights must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_mu", mu)
         object.__setattr__(self, "_sigma", sigma)
+        cdf = w.cumsum()
+        object.__setattr__(self, "_cdf", cdf / cdf[-1])
         mean = float((w * mu).sum())
         var = float((w * (sigma**2 + mu**2)).sum() - mean**2)
         object.__setattr__(self, "analytic_mean", mean)
@@ -99,7 +100,8 @@ class MixtureDensity:
         """Draw ``n`` values from the raw (unstandardized) mixture."""
         if len(self.components) == 1:
             return rng.normal(self._mu[0], self._sigma[0], size=n)
-        idx = rng.choice(len(self._w), size=n, p=self._w)
+        # rng.choice(len(w), size=n, p=w) draws this stream, less its per-call checks
+        idx = self._cdf.searchsorted(rng.random(n), side="right")
         return rng.standard_normal(n) * self._sigma[idx] + self._mu[idx]
 
 

@@ -43,6 +43,8 @@ def _int_at_least(text: str, low: int, what: str) -> int:
 
 _positive_int = partial(_int_at_least, low=1, what="positive integer")
 _non_negative_int = partial(_int_at_least, low=0, what="non-negative integer")
+# one draw has no Monte Carlo SE for the d_se column
+_iteration_count = partial(_int_at_least, low=2, what="number of iterations >= 2")
 
 
 def _write_manifest(args) -> None:
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="crude-method standardizer: three-group pooled SD (default, the published "
         "real-data convention) or the mean of the two pairwise pooled SDs",
     )
-    p_effect.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
+    p_effect.add_argument("--iterations", type=_iteration_count, default=DEFAULT_ITERATIONS)
     p_effect.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
     p_effect.add_argument("--workers", type=_positive_int, default=workers_default,
                           help="accepted for symmetry with mc; has no effect on effect")

@@ -75,7 +75,8 @@ class AdditiveEffect:
     AA-AB and AB-BB pairs' Hedges' g and its variance (see
     ``effect_from_d``).  For the crude method ``d == beta / sd_beta``
     exactly; for the simulation method the three fields are separate
-    iteration averages and agree only to O(1/iterations).
+    iteration averages and agree only to O(1/iterations), and ``d_se`` is
+    the Monte Carlo standard error of ``d`` (``None`` for the crude method).
     """
 
     study_id: str
@@ -85,6 +86,7 @@ class AdditiveEffect:
     g: float
     v_g: float
     method: Literal["crude", "simulation"]
+    d_se: float | None = None
 
 
 def pooled_sd(sd_a: float, n_a: int, sd_b: float, n_b: int) -> float:
@@ -151,6 +153,7 @@ def effect_from_d(
     d: float,
     n: Sequence[int],
     method: Literal["crude", "simulation"],
+    d_se: float | None = None,
 ) -> AdditiveEffect:
     """Assemble an AdditiveEffect from a combined d and the group sizes.
 
@@ -175,6 +178,7 @@ def effect_from_d(
         g=(gw12 + gw23) / (w12 + w23),
         v_g=1.0 / (w12 + w23),
         method=method,
+        d_se=d_se,
     )
 
 

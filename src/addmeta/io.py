@@ -23,7 +23,7 @@ from .odds_recovery import CombinedOR, MergedTable, ORRecord
 from .pooling import MetaResult
 
 STUDY_FIELDS = ["study_id", "m1", "m2", "m3", "sd1", "sd2", "sd3", "n1", "n2", "n3"]
-EFFECT_FIELDS = ["study_id", "method", "beta", "sd_beta", "d", "g", "v_g", "seed", "iterations"]
+EFFECT_FIELDS = ["study_id", "method", "beta", "sd_beta", "d", "g", "v_g", "seed", "iterations", "d_se"]
 META_FIELDS = ["k", "g_wm", "v_wm", "tau2", "ci_lo", "ci_hi"]
 OR_INPUT_FIELDS = ["study_id", "label", "or", "ci_lo", "ci_hi", "m_top", "m_bottom"]
 OR_OUTPUT_FIELDS = ["study_id", "or_combined", "ci_lo", "ci_hi", "pairing", "ab_distance"]
@@ -149,11 +149,12 @@ def write_effects(
     iterations: int | None = None,
     precision: int = DEFAULT_PRECISION,
 ) -> None:
-    """Write effect rows; ``seed`` and ``iterations`` fill simulation rows only."""
+    """Write effect rows; ``seed``, ``iterations`` and ``d_se`` fill simulation rows only."""
     _write_csv(path, EFFECT_FIELDS, [
         [eff.study_id, eff.method]
         + [fmt(v, precision) for v in (eff.beta, eff.sd_beta, eff.d, eff.g, eff.v_g)]
         + [v if eff.method == "simulation" and v is not None else "" for v in (seed, iterations)]
+        + ["" if eff.d_se is None else fmt(eff.d_se, precision)]
         for eff in effects
     ])
 

@@ -8,18 +8,17 @@ and divides the slope by the fit's residual standard deviation.  Cohen's d
 is averaged over the iterations, and the averaged d then goes through the
 same pairwise d-to-g machinery as the crude estimator.
 
-The fit depends on a drawn dataset only through its three group means and
-its within-group sum of squares (SSE), and under normal regeneration these
-are independent: group k's mean is m_k + (sd_k / sqrt(n_k)) z_k with z_k
-standard normal, and its SSE is sd_k^2 * chi-square(n_k - 1).  Each
-iteration therefore draws these six numbers instead of N individuals; the
-estimate has the same distribution.  The fit is two fixed contrasts of the
-means.  The slope is sum_k w_k m_k with w_k = n_k (c_k - cbar) / S_xx; the
-grand mean drops out because sum_k n_k (c_k - cbar) = 0.  The means' lack
-of fit to the line is (m_1 - 2 m_2 + m_3)^2 / (1/n_1 + 4/n_2 + 1/n_3), and
-RSS is the SSE plus that.  Each group's location and scale fold into the
-contrast weights, so no matrix of drawn means is built.  All iterations of
-a study draw from one random substream keyed by the seed.
+The fit depends on a drawn dataset only through its within-group sum of
+squares (SSE) and two contrasts of its group means: the slope
+beta = sum_k w_k m_k with w_k = n_k (c_k - cbar) / S_xx, and the curvature
+c = m_1 - 2 m_2 + m_3, whose lack of fit c^2 / (1/n_1 + 4/n_2 + 1/n_3) adds
+to the SSE to make RSS.  Under normal regeneration group k's mean is
+N(m_k, sd_k^2 / n_k), so beta and c are jointly normal, and its SSE is an
+independent sd_k^2 * chi-square(n_k - 1), a gamma with shape (n_k - 1) / 2
+and scale 2 sd_k^2.  Each iteration therefore draws two correlated normals
+(slope and curvature) and one scaled gamma per group instead of N
+individuals; the estimate has the same distribution.  All iterations of a
+study draw from one random substream keyed by the seed.
 """
 
 from __future__ import annotations
@@ -86,20 +85,15 @@ class _Design:
         self.slope_weights = n * centered / float((n * centered**2).sum())
         self.curvature_scale = 1.0 / float((_CURVATURE**2 / n).sum())
 
-    def fit(self, z: np.ndarray, sse: np.ndarray, loc=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0)):
-        """Slope and residual sd, sqrt(RSS / (N - 2)), of group means ``loc + scale * z[i]``.
+    def fit(self, means: Sequence[float], sse: float) -> tuple[float, float]:
+        """Slope and residual sd, sqrt(RSS / (N - 2)), of one dataset's group means and SSE.
 
-        RSS is the within-group ``sse`` plus the lack of fit: two
-        nonnegative parts, so it does not cancel when both are tiny.  Each
-        contrast is three column terms, not a matrix product over the rows.
+        RSS is ``sse`` plus the lack of fit: two nonnegative parts that do not cancel.
         """
-        betas = np.full(len(sse), sum(w * m for w, m in zip(self.slope_weights, loc)))
-        curvature = np.full(len(sse), sum(h * m for h, m in zip(_CURVATURE, loc)))
-        for k in range(3):
-            betas += (self.slope_weights[k] * scale[k]) * z[:, k]
-            curvature += (_CURVATURE[k] * scale[k]) * z[:, k]
+        beta = sum(w * m for w, m in zip(self.slope_weights, means))
+        curvature = sum(h * m for h, m in zip(_CURVATURE, means))
         rss = sse + self.curvature_scale * curvature * curvature
-        return betas, np.sqrt(rss / (self.n_total - 2.0))
+        return float(beta), math.sqrt(rss / (self.n_total - 2.0))
 
 
 def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
@@ -113,8 +107,7 @@ def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
         raise ValueError(f"expected 3 groups, got {len(groups)}")
     means = [float(np.mean(g)) for g in groups]
     sse = sum(float(((g - m) ** 2).sum()) for g, m in zip(groups, means))
-    betas, sds = _Design([len(g) for g in groups]).fit(np.array([means]), np.array([sse]))
-    beta, sd = float(betas[0]), float(sds[0])
+    beta, sd = _Design([len(g) for g in groups]).fit(means, sse)
     if sd == 0.0:
         raise DegenerateSampleError("sample has zero variance in every group and no slope")
     return SimDraw(beta=beta, sd=sd, d=beta / sd)
@@ -123,17 +116,29 @@ def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
 def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-iteration slope, residual sd and d of the regenerated datasets.
 
-    ``z`` is the stream that ``rng.normal(m, sd / sqrt(n), shape)`` consumes.
+    (slope, curvature) is its mean plus its covariance's Cholesky factor
+    times one (2, iterations) normal block; then one gamma SSE run per group.
     """
     n = np.asarray(summary.n, dtype=float)
     design = _Design(n)
+    w, h, m = design.slope_weights, _CURVATURE, np.asarray(summary.m)
+    var = np.asarray(summary.sd, dtype=float) ** 2
+    mean_var = var / n  # the variance of each drawn group mean
+    beta_sd = math.sqrt(float((w * w * mean_var).sum()))
+    cross = float((w * h * mean_var).sum()) / beta_sd
+    rest = math.sqrt(max(float((h * h * mean_var).sum()) - cross * cross, 0.0))
     rng = substream(config.seed, SIM_DRAWS)
-    shape = (config.iterations, 3)
-    sd = np.asarray(summary.sd, dtype=float)
-    z = rng.standard_normal(shape)
-    chi2 = rng.chisquare(n - 1.0, shape)
-    sse = sd[0] ** 2 * chi2[:, 0] + sd[1] ** 2 * chi2[:, 1] + sd[2] ** 2 * chi2[:, 2]
-    betas, sds = design.fit(z, sse, summary.m, sd / np.sqrt(n))
+    z, curvature = rng.standard_normal((2, config.iterations))
+    rss = sum(rng.gamma((n[k] - 1.0) / 2.0, 2.0 * var[k], config.iterations) for k in range(3))
+    curvature *= rest
+    curvature += cross * z
+    curvature += float((h * m).sum())
+    betas = beta_sd * z
+    betas += float((w * m).sum())
+    curvature *= curvature
+    rss += design.curvature_scale * curvature
+    rss /= design.n_total - 2.0
+    sds = np.sqrt(rss, out=rss)
     if np.any(sds == 0.0):
         raise DegenerateSampleError("zero-variance draw in simulation")
     return betas, sds, betas / sds
@@ -162,10 +167,9 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
     ``beta`` and ``sd_beta`` of the result are iteration means of the
     per-draw slope and residual sd; ``d`` is the iteration mean of the
     per-draw ratio (so ``d`` differs from ``beta/sd_beta`` by
-    O(1/iterations)).  The pairwise g machinery is applied to the averaged
-    d exactly as in the crude estimator.
+    O(1/iterations)), and ``d_se`` is its Monte Carlo SE.  The pairwise g
+    machinery is applied to the averaged d exactly as in the crude estimator.
     """
     stats = simulate_study(summary, config)
-    return effect_from_d(
-        summary.study_id, stats.beta_mean, stats.sd_beta_mean, stats.d_mean, summary.n, "simulation"
-    )
+    return effect_from_d(summary.study_id, stats.beta_mean, stats.sd_beta_mean, stats.d_mean,
+                         summary.n, "simulation", stats.d_se)

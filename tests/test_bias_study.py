@@ -20,6 +20,9 @@ from addmeta.effects import crude_effect
 from addmeta.pooling import pool_random_effects
 from addmeta.simulate import DegenerateSampleError
 
+# a fixed stream key per density: str hashes are salted per process
+DENSITY_KEYS = {"f1": 1, "f2": 2, "f3": 3, "f4": 4}
+
 
 class TestDensities:
     def test_catalogue(self):
@@ -35,7 +38,7 @@ class TestDensities:
     @pytest.mark.parametrize("fid", ["f1", "f2", "f3", "f4"])
     def test_analytic_moments_match_million_draw_empirical(self, fid):
         dens = DENSITIES[fid]
-        rng = substream(555, hash(fid) % 1000)
+        rng = substream(555, DENSITY_KEYS[fid])
         x = dens.sample(10**6, rng)
         n = len(x)
         se_mean = x.std() / math.sqrt(n)
@@ -45,6 +48,33 @@ class TestDensities:
         m4 = float((centered**4).mean())
         se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
         assert abs(m2 - dens.analytic_var) < 3 * se_var
+
+    @pytest.mark.parametrize("fid", ["f1", "f2", "f3", "f4"])
+    def test_analytic_moments_match_quadrature(self, fid):
+        # trapezoid rule on a grid far finer than the narrowest component (sd 0.0585)
+        dens = DENSITIES[fid]
+        x, step = np.linspace(-20.0, 20.0, 400_001, retstep=True)
+        pdf = sum(w * np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+                  for w, mu, sigma in dens.components)
+
+        def integral(y):
+            return float((y[1:] + y[:-1]).sum()) * step / 2
+
+        assert integral(pdf) == pytest.approx(1.0, abs=1e-12)
+        mean = integral(x * pdf)
+        assert dens.analytic_mean == pytest.approx(mean, abs=1e-12)
+        assert dens.analytic_var == pytest.approx(integral((x - mean) ** 2 * pdf), rel=1e-12)
+
+    @pytest.mark.parametrize("fid", ["f2", "f3", "f4"])
+    @pytest.mark.parametrize("n", [1, 5, 15, 400])
+    def test_sample_matches_rng_choice_stream(self, fid, n):
+        dens = DENSITIES[fid]
+        rng = substream(31, DENSITY_KEYS[fid])
+        w = np.array([c[0] for c in dens.components])
+        idx = rng.choice(len(w), size=n, p=w)
+        mu, sigma = (np.array([c[i] for c in dens.components]) for i in (1, 2))
+        reference = rng.standard_normal(n) * sigma[idx] + mu[idx]
+        np.testing.assert_array_equal(dens.sample(n, substream(31, DENSITY_KEYS[fid])), reference)
 
     def test_skewed_mixture_moment_formula(self):
         # independent arithmetic for the eight-component mixture
@@ -65,7 +95,7 @@ class TestSampleStandardized:
     def test_moments_within_four_over_sqrt_n(self, fid):
         n = 10**5
         target_mean, target_sd = 2.5, 3.0
-        x = sample_standardized(DENSITIES[fid], n, target_mean, target_sd, substream(60, hash(fid) % 97))
+        x = sample_standardized(DENSITIES[fid], n, target_mean, target_sd, substream(60, DENSITY_KEYS[fid]))
         bound = 4.0 * target_sd / math.sqrt(n)
         assert abs(float(x.mean()) - target_mean) < bound
         assert abs(float(x.std(ddof=1)) - target_sd) < bound

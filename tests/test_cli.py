@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -37,7 +38,7 @@ class TestEffectCommand:
             assert float(row["sd_beta"]) == pytest.approx(sd_beta, abs=0.07)
             assert float(row["d"]) == pytest.approx(d, abs=0.015)
             assert row["method"] == "crude"
-            assert row["seed"] == "" and row["iterations"] == ""
+            assert row["seed"] == "" and row["iterations"] == "" and row["d_se"] == ""
 
     def test_pair_mean_standardizer_flag(self, table2_csv, tmp_path):
         out = tmp_path / "crude_pair.csv"
@@ -55,6 +56,14 @@ class TestEffectCommand:
             assert float(rows[study]["d"]) == pytest.approx(d, abs=0.02)
             assert rows[study]["seed"] == "11"
             assert rows[study]["iterations"] == "4000"
+
+    def test_every_sim_row_has_a_finite_positive_d_se(self, table2_csv, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(["effect", str(table2_csv), "--method", "sim", "--iterations", "2", "-o", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert math.isfinite(float(row["d_se"])) and float(row["d_se"]) > 0, row
 
     def test_empty_csv_fails_with_no_studies(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -150,7 +159,12 @@ class TestWorkersOption:
         (["effect", "in.csv", "--method", "sim", "--seed", "-3", "-o", "out.csv"],
          "--seed: expected a non-negative integer"),
         (["mc", "in.json", "--seed", "-1", "-o", "out.csv"], "--seed: expected a non-negative integer"),
-    ], ids=["effect-zero", "mc-negative", "mc-not-a-number", "effect-seed-negative", "mc-seed-negative"])
+        (["effect", "in.csv", "--method", "sim", "--iterations", "1", "-o", "out.csv"],
+         "--iterations: expected a number of iterations >= 2"),
+        (["effect", "in.csv", "--iterations", "0", "-o", "out.csv"],
+         "--iterations: expected a number of iterations >= 2"),
+    ], ids=["effect-zero", "mc-negative", "mc-not-a-number", "effect-seed-negative", "mc-seed-negative",
+            "effect-one-iteration", "effect-zero-iterations"])
     def test_invalid_flag_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

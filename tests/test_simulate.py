@@ -117,10 +117,10 @@ class TestSimulateStudy:
 
     def test_golden_stats_replay(self):
         stats = simulate_study(ZHH, SimConfig(iterations=500, seed=99))
-        assert stats.beta_mean == pytest.approx(0.19216571744966773, rel=1e-12)
-        assert stats.sd_beta_mean == pytest.approx(2.018860139457711, rel=1e-12)
-        assert stats.d_mean == pytest.approx(0.09601116487362174, rel=1e-12)
-        assert stats.d_se == pytest.approx(0.007379293689902683, rel=1e-12)
+        assert stats.beta_mean == pytest.approx(0.13593338259620433, rel=1e-12)
+        assert stats.sd_beta_mean == pytest.approx(2.016476851558082, rel=1e-12)
+        assert stats.d_mean == pytest.approx(0.06784171866192278, rel=1e-12)
+        assert stats.d_se == pytest.approx(0.00789229244491148, rel=1e-12)
 
     def test_noise_free_limit_recovers_slope(self):
         summary = StudySummary("limit", (4, 5.5, 7), (1e-8, 1e-8, 1e-8), (20, 20, 20))
@@ -191,27 +191,61 @@ class TestReferenceEquivalence:
             assert abs(ref_sd - new_sd) < 4 * math.hypot(ref_sd_se, new_sd_se), name
 
 
+def _contrast_moments(summary):
+    """Mean vector and covariance of (slope, curvature), the SSE mean, and
+    the lack-of-fit scale, from the per-subject contrast matrix."""
+    n = np.array(summary.n)
+    group = np.repeat(np.arange(3), n)
+    x = np.array([1.0, 2.0, 3.0])[group]
+    contrasts = np.stack([(x - x.mean()) / ((x - x.mean()) ** 2).sum(),
+                          np.array([1.0, -2.0, 1.0])[group] / n[group]])
+    mean = contrasts @ np.array(summary.m)[group]
+    cov = contrasts * np.array(summary.sd)[group] ** 2 @ contrasts.T
+    sse_mean = float(((n - 1) * np.array(summary.sd) ** 2).sum())
+    return mean, cov, sse_mean, 1.0 / float(contrasts[1] @ contrasts[1])
+
+
 def test_draws_consume_the_normal_and_chisquare_stream():
-    # the same quantities fitted the long way from the parametrized draws
+    # the same quantities rebuilt the long way from a (2, it) normal block and three gamma runs
     summary, config = SATIETY, SimConfig(iterations=3000, seed=404)
     n, sd = np.array(summary.n, dtype=float), np.array(summary.sd)
     rng = substream(config.seed, SIM_DRAWS)
-    means = rng.normal(summary.m, sd / np.sqrt(n), (config.iterations, 3))
-    sse = (sd * sd * rng.chisquare(n - 1.0, (config.iterations, 3))).sum(axis=1)
-    codes = np.array([1.0, 2.0, 3.0])
-    centered = codes - (n * codes).sum() / n.sum()
-    grand = (means * n).sum(axis=1) / n.sum()
-    beta = (n * centered * (means - grand[:, None])).sum(axis=1) / (n * centered**2).sum()
-    fitted = grand[:, None] + beta[:, None] * centered
-    rss = sse + (n * (means - fitted) ** 2).sum(axis=1)
-    ref_sd = np.sqrt(rss / (n.sum() - 2.0))
+    z = rng.standard_normal((2, config.iterations))
+    sse = sum(rng.gamma((n[k] - 1) / 2, 2 * sd[k] ** 2, config.iterations) for k in range(3))
+    mean, cov, _, lack_of_fit = _contrast_moments(summary)
+    beta, curvature = mean[:, None] + np.linalg.cholesky(cov) @ z
+    ref_sd = np.sqrt((sse + lack_of_fit * curvature**2) / (n.sum() - 2.0))
 
     betas, sds, ds = _draws(summary, config)
-    # a slope near zero is a difference of terms of the size of the means
-    scale = np.abs(n * centered * means).sum(axis=1) / (n * centered**2).sum()
-    assert np.all(np.abs(betas - beta) <= 1e-12 * scale)
+    np.testing.assert_allclose(betas, beta, rtol=0, atol=1e-12 * (abs(mean[0]) + math.sqrt(cov[0, 0])))
     np.testing.assert_allclose(sds, ref_sd, rtol=1e-12)
     np.testing.assert_array_equal(ds, betas / sds)
+
+
+@pytest.mark.parametrize("summary", [
+    StudySummary("tiny", (3.0, 5.5, 6.0), (1.0, 2.5, 4.0), (3, 5, 2)),
+    StudySummary("het", (3.0, 5.5, 6.0), (1.0, 2.5, 4.0), (12, 20, 9)),
+    StudySummary("bent", (6.0, 2.0, 5.0), (0.5, 3.0, 1.5), (25, 10, 30)),
+    StudySummary("het-large", (2.0, 2.4, 4.1), (3.0, 1.5, 2.2), (60, 45, 30)),
+], ids=lambda s: s.study_id)
+def test_draw_moments_match_exact_moments(summary):
+    # E[beta], Var[beta], E[sd^2] and E[beta sd^2] in closed form: SSE is independent
+    # of (beta, c), E[c^2] = mu_c^2 + var_c and E[beta c^2] = mu_b E[c^2] + 2 mu_c cov
+    betas, sds, _ = _draws(summary, SimConfig(iterations=400_000, seed=515))
+    (mu_b, mu_c), ((var_b, cov), (_, var_c)), sse_mean, lack_of_fit = _contrast_moments(summary)
+    dof = sum(summary.n) - 2
+    c2 = mu_c**2 + var_c
+    var = sds * sds
+    beta_mean, beta_mean_se, beta_sd, beta_sd_se = _moments(betas)
+    checks = [
+        ("E[beta]", beta_mean, beta_mean_se, mu_b),
+        ("Var[beta]", beta_sd**2, 2 * beta_sd * beta_sd_se, var_b),
+        ("E[sd^2]", *_moments(var)[:2], (sse_mean + lack_of_fit * c2) / dof),
+        ("E[beta sd^2]", *_moments(betas * var)[:2],
+         (mu_b * sse_mean + lack_of_fit * (mu_b * c2 + 2 * mu_c * cov)) / dof),
+    ]
+    for name, got, se, want in checks:
+        assert abs(got - want) < 4 * se, (name, (got - want) / se)
 
 
 class TestSimEffect:
