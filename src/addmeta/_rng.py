@@ -17,6 +17,7 @@ SIM_DRAWS = 101
 MC_PARAMS = 201
 MC_DATA = 202
 MC_INNER = 203
+EFFECT_STUDY = 401
 
 
 def substream(*keys: int) -> np.random.Generator:

@@ -143,37 +143,25 @@ def perturb_study_params(
     sigma_ws: float,
     n_studies: int,
     rng: np.random.Generator,
-    perturb_sd: float = PERTURB_SD,
     truncation: Truncation = "paper",
-) -> list[tuple[tuple[float, float, float], tuple[float, float, float]]]:
-    """Draw per-study (mean triplet, SD triplet) around the scenario anchors.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw every study's group means and SDs around the scenario anchors.
 
-    Group means are N(mean_vec[k], perturb_sd) and within-study SDs are
-    N(sigma_ws, perturb_sd).  Negative mean draws are replaced by
+    Returns ``(means, sds)``, two (3, n_studies) arrays whose row k holds
+    group k.  Group means are N(mean_vec[k], PERTURB_SD) and within-study SDs
+    are N(sigma_ws, PERTURB_SD).  Negative mean draws are replaced by
     mean_vec[0] under ``truncation="paper"`` (the reference protocol applies
     the first anchor to every group) or by the group's own anchor under
     ``"per-group"``.  Nonpositive SD draws are replaced by sigma_ws.
     """
     if n_studies < 1:
         raise ValueError(f"n_studies must be >= 1, got {n_studies}")
-    means = []
-    for k in range(3):
-        draws = rng.normal(mean_vec[k], perturb_sd, size=n_studies)
-        anchor = mean_vec[0] if truncation == "paper" else mean_vec[k]
-        draws[draws < 0] = anchor
-        means.append(draws)
-    sds = []
-    for k in range(3):
-        draws = rng.normal(sigma_ws, perturb_sd, size=n_studies)
-        draws[draws <= 0] = sigma_ws
-        sds.append(draws)
-    return [
-        (
-            (float(means[0][i]), float(means[1][i]), float(means[2][i])),
-            (float(sds[0][i]), float(sds[1][i]), float(sds[2][i])),
-        )
-        for i in range(n_studies)
-    ]
+    anchors = np.asarray(mean_vec, dtype=float)[:, None]
+    means = rng.normal(anchors, PERTURB_SD, (3, n_studies))
+    sds = rng.normal(sigma_ws, PERTURB_SD, (3, n_studies))
+    means = np.where(means < 0, anchors[0] if truncation == "paper" else anchors, means)
+    sds[sds <= 0] = sigma_ws
+    return means, sds
 
 
 @dataclass(frozen=True)
@@ -206,8 +194,10 @@ class Scenario:
             raise ValueError(f"n_triplet must be one of {N_TRIPLETS}, got {self.n_triplet}")
         if self.mc_reps < 2:
             raise ValueError(f"mc_reps must be >= 2 for a Monte Carlo SE, got {self.mc_reps}")
-        if self.inner_iterations < 1:
-            raise ValueError(f"inner_iterations must be >= 1, got {self.inner_iterations}")
+        if self.inner_iterations < 2:
+            raise ValueError(
+                f"inner_iterations must be >= 2 for a Monte Carlo SE, got {self.inner_iterations}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.truncation not in ("paper", "per-group"):
@@ -257,42 +247,33 @@ def _replicate(scenario: Scenario, rep: int):
     for attempt in range(MAX_REPLICATE_RETRIES):
         try:
             rng_params = substream(scenario.seed, MC_PARAMS, rep, attempt)
-            params = perturb_study_params(
-                scenario.mean_vec,
-                scenario.sigma_ws,
-                scenario.n_studies,
-                rng_params,
-                truncation=scenario.truncation,
-            )
-            true_gv, crude_gv, sim_gv = [], [], []
-            diffs_crude, diffs_sim = [], []
-            for i, (m, sd) in enumerate(params):
+            means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws,
+                                              scenario.n_studies, rng_params, scenario.truncation)
+            studies = []  # one (truth, crude, simulation) effect triple per study
+            for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
                 rng_data = substream(scenario.seed, MC_DATA, rep, attempt, i)
                 groups = [
                     sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
                     for k in range(3)
                 ]
                 draw = additive_regression(groups)
-                truth = effect_from_d(f"study{i + 1}", draw.beta, draw.sd, draw.d, n_triplet, "crude")
                 summary = StudySummary(f"study{i + 1}", m, sd, n_triplet)
-                crude = crude_effect(summary, standardizer="pair-mean")
                 config = SimConfig(
                     iterations=scenario.inner_iterations,
                     seed=derive_seed(scenario.seed, MC_INNER, rep, attempt, i),
                 )
-                simulated = sim_effect(summary, config)
-                true_gv.append((truth.g, truth.v_g))
-                crude_gv.append((crude.g, crude.v_g))
-                sim_gv.append((simulated.g, simulated.v_g))
-                diffs_crude.append(abs(truth.g - crude.g))
-                diffs_sim.append(abs(truth.g - simulated.g))
-            gwm_true = pool_random_effects(true_gv).g_wm
-            gwm_crude = pool_random_effects(crude_gv).g_wm
-            gwm_sim = pool_random_effects(sim_gv).g_wm
+                studies.append((
+                    effect_from_d(summary.study_id, draw.beta, draw.sd, draw.d, n_triplet, "crude"),
+                    crude_effect(summary, standardizer="pair-mean"),
+                    sim_effect(summary, config),
+                ))
+            gwm_true, gwm_crude, gwm_sim = (
+                pool_random_effects([(e.g, e.v_g) for e in column]).g_wm for column in zip(*studies)
+            )
             return (
-                math.fsum(diffs_crude) / len(diffs_crude),
+                math.fsum(abs(truth.g - crude.g) for truth, crude, _ in studies) / len(studies),
                 abs(gwm_true - gwm_crude),
-                math.fsum(diffs_sim) / len(diffs_sim),
+                math.fsum(abs(truth.g - sim.g) for truth, _, sim in studies) / len(studies),
                 abs(gwm_true - gwm_sim),
                 attempt,
             )

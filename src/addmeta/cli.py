@@ -9,21 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
 from . import io
-from ._rng import derive_seed
+from ._rng import EFFECT_STUDY, derive_seed
 from .bias_study import full_grid, run_scenario
 from .effects import crude_effect
 from .odds_recovery import combine_reported_ors
 from .pooling import pool_random_effects
 from .simulate import DEFAULT_ITERATIONS, DEFAULT_SEED, SimConfig, sim_effect
-
-EFFECT_STUDY_STREAM = 401
 
 
 def _study_key(study_id: str) -> int:
@@ -68,7 +65,7 @@ def _cmd_effect(args) -> None:
         effects = [
             sim_effect(s, SimConfig(
                 iterations=args.iterations,
-                seed=derive_seed(args.seed, EFFECT_STUDY_STREAM, _study_key(s.study_id)),
+                seed=derive_seed(args.seed, EFFECT_STUDY, _study_key(s.study_id)),
             ))
             for s in summaries
         ]
@@ -85,10 +82,10 @@ def _cmd_mc(args) -> None:
     given = {"mc_reps": args.reps, "inner_iterations": args.inner_iterations,
              "seed": args.seed, "truncation": args.truncation}
     overrides = {key: value for key, value in given.items() if value is not None}
+    if args.full_grid == (args.input is not None):
+        raise ValueError("give a scenario config file or --full-grid, not both")
     if args.full_grid:
         scenarios = full_grid(**overrides)
-    elif args.input is None:
-        raise ValueError("a scenario config file is required unless --full-grid is given")
     else:
         scenarios = [io.read_scenario(args.input, **overrides)]
     reports = [run_scenario(s, workers=args.workers) for s in scenarios]
@@ -106,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Meta-analysis of genetic association studies under the additive model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default goes through the same type check as a given value
-    workers_default = os.environ.get("ADDMETA_WORKERS") or "1"
 
     def common(p):
         p.add_argument("-o", "--output", type=Path, required=True, help="output CSV path")
@@ -126,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_effect.add_argument("--iterations", type=_iteration_count, default=DEFAULT_ITERATIONS)
     p_effect.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
-    p_effect.add_argument("--workers", type=_positive_int, default=workers_default,
+    p_effect.add_argument("--workers", type=_positive_int, default=1,
                           help="accepted for symmetry with mc; has no effect on effect")
     common(p_effect)
     p_effect.set_defaults(func=_cmd_effect)
@@ -145,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--truncation", choices=["paper", "per-group"], default=None)
     p_mc.add_argument("--full-grid", action="store_true",
                       help="run every scenario cell instead of a single config")
-    p_mc.add_argument("--workers", type=_positive_int, default=workers_default,
-                      help="processes for the Monte Carlo replicates (default: "
-                      "ADDMETA_WORKERS or 1); results do not depend on it")
+    p_mc.add_argument("--workers", type=_positive_int, default=1,
+                      help="processes for the Monte Carlo replicates (default 1); "
+                      "results do not depend on it")
     common(p_mc)
     p_mc.set_defaults(func=_cmd_mc)
 

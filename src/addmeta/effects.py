@@ -28,8 +28,6 @@ from typing import Literal, Sequence
 
 Standardizer = Literal["pair-mean", "pooled"]
 
-_GROUP_CODES = (1.0, 2.0, 3.0)
-
 
 @dataclass(frozen=True)
 class StudySummary:

@@ -167,8 +167,9 @@ def _effect(row) -> tuple[str, float, float]:
 
 
 def read_effects(path) -> list[tuple[str, float, float]]:
-    """Read (study_id, g, v_g) triples from an effects CSV; every v_g must be > 0."""
-    return _read_csv(path, ["study_id", "g", "v_g"], _effect, "effects")
+    """Read (study_id, g, v_g) triples from an effects CSV; v_g > 0 and study_id unique."""
+    return _read_csv(path, ["study_id", "g", "v_g"], _effect, "effects",
+                     key=lambda effect: f"study_id {effect[0]!r}")
 
 
 def write_meta_result(path, result: MetaResult, precision: int = DEFAULT_PRECISION) -> None:
@@ -220,25 +221,20 @@ def write_combined_ors(
 def read_scenario(path, **overrides) -> Scenario:
     """Load a Scenario from a JSON key-value config file.
 
-    The study count is keyed ``L``; ``n_studies`` is accepted as an alias.
-    ``overrides`` (``mc_reps``, ``inner_iterations``, ``seed``,
-    ``truncation``) replace the file's values.
+    The study count is keyed ``L``.  ``overrides`` (``mc_reps``,
+    ``inner_iterations``, ``seed``, ``truncation``) replace the file's values.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object of scenario settings")
     known = {
-        "density", "L", "n_studies", "mean_vec", "sigma_ws", "n_triplet",
+        "density", "L", "mean_vec", "sigma_ws", "n_triplet",
         "mc_reps", "inner_iterations", "seed", "truncation",
     }
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys {sorted(unknown)}")
-    if "L" in data and "n_studies" in data and data["L"] != data["n_studies"]:
-        raise ValueError(f"{path}: conflicting 'L' and 'n_studies' values")
-    if "n_studies" in data:
-        data["L"] = data.pop("n_studies")
     data.update(overrides)
 
     def numbers(key, parse):

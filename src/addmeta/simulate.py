@@ -51,8 +51,8 @@ class SimConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.iterations < 2:
+            raise ValueError(f"iterations must be >= 2 for a Monte Carlo SE, got {self.iterations}")
 
 
 @dataclass(frozen=True)
@@ -151,12 +151,11 @@ def simulate_study(summary: StudySummary, config: SimConfig = SimConfig()) -> Si
     """
     betas, sds, ds = _draws(summary, config)
     n_iter = config.iterations
-    d_se = float(ds.std(ddof=1)) / math.sqrt(n_iter) if n_iter > 1 else float("nan")
     return SimStats(
         beta_mean=float(betas.mean()),
         sd_beta_mean=float(sds.mean()),
         d_mean=float(ds.mean()),
-        d_se=d_se,
+        d_se=float(ds.std(ddof=1)) / math.sqrt(n_iter),
         iterations=n_iter,
     )
 

@@ -10,6 +10,7 @@ from addmeta._rng import substream
 from addmeta.bias_study import (
     DENSITIES,
     N_TRIPLETS,
+    PERTURB_SD,
     Scenario,
     _replicate,
     perturb_study_params,
@@ -113,52 +114,61 @@ class TestSampleStandardized:
 
 
 class _FakeRng:
-    """Feeds predetermined arrays to perturb_study_params."""
+    """Feeds predetermined (3, L) blocks to perturb_study_params, rows as groups."""
 
-    def __init__(self, arrays):
-        self.arrays = list(arrays)
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
 
     def normal(self, loc, scale, size):
-        out = np.asarray(self.arrays.pop(0), dtype=float).copy()
-        assert out.shape == (size,)
+        out = np.asarray(self.blocks.pop(0), dtype=float).copy()
+        assert out.shape == size
         return out
 
 
+def _columns(params):
+    """Per-study (mean triplet, SD triplet) tuples of perturb_study_params' (3, L) arrays."""
+    means, sds = params
+    return [(tuple(m), tuple(sd)) for m, sd in zip(means.T.tolist(), sds.T.tolist())]
+
+
 class TestPerturbStudyParams:
-    def test_degenerate_perturbation_returns_anchors(self):
-        params = perturb_study_params((4, 5.5, 9), 1.0, 7, substream(3), perturb_sd=0.0)
-        assert len(params) == 7
-        for m, sd in params:
-            assert m == (4.0, 5.5, 9.0)
-            assert sd == (1.0, 1.0, 1.0)
+    def test_draws_match_anchor_moments(self):
+        anchors, n = (40.0, 55.0, 90.0), 100_000
+        means, sds = perturb_study_params(anchors, 50.0, n, substream(3))
+        assert means.shape == sds.shape == (3, n)
+        # anchors sit 20 or more PERTURB_SD above 0, so no draw is truncated
+        for row, anchor in [*zip(means, anchors), *zip(sds, [50.0] * 3)]:
+            spread = row.std(ddof=1)
+            assert abs(row.mean() - anchor) < 4 * PERTURB_SD / math.sqrt(n)
+            assert abs(spread - PERTURB_SD) < 4 * PERTURB_SD / math.sqrt(2 * (n - 1))
 
     def test_negative_mean_replaced_by_first_anchor(self):
         fake = _FakeRng([
-            [3.0, 3.5], [5.0, 5.2], [-1.0, 8.8],   # group means; one negative in group 3
-            [1.0, 1.1], [0.9, 1.2], [1.3, 0.8],
+            [[3.0, 3.5], [5.0, 5.2], [-1.0, 8.8]],   # group means; one negative in group 3
+            [[1.0, 1.1], [0.9, 1.2], [1.3, 0.8]],
         ])
-        params = perturb_study_params((4, 5.5, 9), 1.0, 2, fake)
+        params = _columns(perturb_study_params((4, 5.5, 9), 1.0, 2, fake))
         assert params[0][0] == (3.0, 5.0, 4.0)  # -1 replaced by mean_vec[0]
         assert params[1][0] == (3.5, 5.2, 8.8)
 
     def test_per_group_truncation_uses_own_anchor(self):
         fake = _FakeRng([
-            [-1.0], [-1.0], [-1.0],
-            [1.0], [1.0], [1.0],
+            [[-1.0], [-1.0], [-1.0]],
+            [[1.0], [1.0], [1.0]],
         ])
-        params = perturb_study_params((4, 5.5, 9), 1.0, 1, fake, truncation="per-group")
+        params = _columns(perturb_study_params((4, 5.5, 9), 1.0, 1, fake, truncation="per-group"))
         assert params[0][0] == (4.0, 5.5, 9.0)
 
     def test_nonpositive_sd_replaced_by_sigma_ws(self):
         fake = _FakeRng([
-            [4.0], [5.5], [9.0],
-            [-0.2], [0.0], [2.0],
+            [[4.0], [5.5], [9.0]],
+            [[-0.2], [0.0], [2.0]],
         ])
-        params = perturb_study_params((4, 5.5, 9), 1.5, 1, fake)
+        params = _columns(perturb_study_params((4, 5.5, 9), 1.5, 1, fake))
         assert params[0][1] == (1.5, 1.5, 2.0)
 
     def test_golden_replay(self):
-        params = perturb_study_params((4, 5.5, 9), 1.0, 10, substream(314, 1))
+        params = _columns(perturb_study_params((4, 5.5, 9), 1.0, 10, substream(314, 1)))
         m0, sd0 = params[0]
         assert m0 == pytest.approx(
             (4.5557409961603605, 5.862986763548782, 6.814602627164284), rel=1e-12
@@ -194,6 +204,9 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="mc_reps must be >= 2"):
             Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
                      n_triplet=(10, 15, 5), mc_reps=1)
+        with pytest.raises(ValueError, match="inner_iterations must be >= 2 for a Monte Carlo SE"):
+            Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
+                     n_triplet=(10, 15, 5), inner_iterations=1)
 
 
 SMALL = Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,

@@ -139,16 +139,16 @@ class TestEffectCommand:
         assert len(sd.replace(".", "")) > 8  # more digits than the default 6
 
     def test_workers_env_override(self, table2_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("ADDMETA_WORKERS", "3")
-        out = tmp_path / "w.csv"
-        baseline = tmp_path / "w1.csv"
+        # --workers is the only worker-count setter: the environment does not reach it
+        monkeypatch.setenv("ADDMETA_WORKERS", "abc")
         args = ["effect", str(table2_csv), "--method", "sim", "--iterations", "600", "--seed", "5"]
-        assert main(args + ["-o", str(out)]) == 0
-        manifest = json.loads((tmp_path / "w.csv.manifest.json").read_text())
-        assert manifest["options"]["workers"] == 3
-        monkeypatch.delenv("ADDMETA_WORKERS")
-        assert main(args + ["--workers", "1", "-o", str(baseline)]) == 0
-        assert out.read_bytes() == baseline.read_bytes()  # worker count never changes results
+        assert main(args + ["-o", str(tmp_path / "e.csv")]) == 0
+        manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+        assert manifest["options"]["workers"] == 1
+        assert main(args + ["--workers", "3", "-o", str(tmp_path / "w3.csv")]) == 0
+        assert main(args + ["--workers", "1", "-o", str(tmp_path / "w1.csv")]) == 0
+        # worker count never changes results
+        assert (tmp_path / "w3.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
 
 
 class TestWorkersOption:
@@ -172,20 +172,6 @@ class TestWorkersOption:
         err = capsys.readouterr().err
         assert "usage:" in err and message in err
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("command", ["effect", "mc"])
-    def test_invalid_environment_default_is_a_usage_error(self, command, monkeypatch, capsys):
-        monkeypatch.setenv("ADDMETA_WORKERS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main([command, "in.csv", "-o", "out.csv"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "'abc'" in err and "Traceback" not in err
-
-    def test_flag_overrides_invalid_environment(self, table2_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("ADDMETA_WORKERS", "abc")
-        out = tmp_path / "e.csv"
-        assert main(["effect", str(table2_csv), "--workers", "2", "-o", str(out)]) == 0
 
 
 class TestMetaCommand:
@@ -226,6 +212,14 @@ class TestMetaCommand:
         assert float(row["g_wm"]) == pytest.approx(expected, abs=1e-6)
         assert float(row["tau2"]) == pytest.approx(tau2, abs=1e-6)
 
+    def test_duplicate_study_id_rejected_with_row_number(self, tmp_path, capsys):
+        effects = tmp_path / "e.csv"
+        effects.write_text("study_id,g,v_g\nA,0.2,0.02\nA,0.2,0.02\nB,0.5,0.04\n")
+        assert main(["meta", str(effects), "-o", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{effects}, row 3: duplicate study_id 'A'" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv"]
+
 
 class TestMcCommand:
     def test_single_scenario_config(self, tmp_path):
@@ -259,9 +253,22 @@ class TestMcCommand:
         assert main(["mc", "-o", str(tmp_path / "o.csv")]) == 1
         assert "scenario config" in capsys.readouterr().err
 
+    def test_config_with_full_grid_is_refused(self, tmp_path, monkeypatch, capsys):
+        def run_scenario(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr("addmeta.cli.run_scenario", run_scenario)
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 1.0,
+                                      "n_triplet": [10, 15, 5], "mc_reps": 2}))
+        assert main(["mc", str(config), "--full-grid", "-o", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "scenario config file or --full-grid, not both" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
     @pytest.mark.parametrize("flag, message", [
         ("--reps", "mc_reps must be >= 2"),
-        ("--inner-iterations", "inner_iterations must be >= 1"),
+        ("--inner-iterations", "inner_iterations must be >= 2 for a Monte Carlo SE"),
     ])
     def test_full_grid_refuses_a_zero_override(self, flag, message, tmp_path, monkeypatch, capsys):
         def run_scenario(*args, **kwargs):
@@ -274,7 +281,7 @@ class TestMcCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_full_grid_enumerates_every_cell(self):
-        scenarios = full_grid(mc_reps=2, inner_iterations=1, seed=0, truncation="paper")
+        scenarios = full_grid(mc_reps=2, inner_iterations=2, seed=0, truncation="paper")
         assert len(scenarios) == 4 * 3 * 2 * 3 * 8
         assert len(set(scenarios)) == len(scenarios)
         # mc --full-grid writes rows in this nested-loop order
@@ -287,9 +294,9 @@ class TestMcCommand:
             for n_triplet in N_TRIPLETS
         ]
         assert [(s.density, s.n_studies, s.sigma_ws, s.mean_vec, s.n_triplet) for s in scenarios] == nested
-        assert {(s.mc_reps, s.inner_iterations, s.seed, s.truncation) for s in scenarios} == {(2, 1, 0, "paper")}
+        assert {(s.mc_reps, s.inner_iterations, s.seed, s.truncation) for s in scenarios} == {(2, 2, 0, "paper")}
 
-    def test_scenario_study_count_key_aliases(self, tmp_path):
+    def test_scenario_study_count_is_keyed_l_only(self, tmp_path):
         from addmeta.io import read_scenario
 
         base = {"density": "f1", "mean_vec": [4, 5.5, 7], "sigma_ws": 1.0,
@@ -298,9 +305,7 @@ class TestMcCommand:
         config.write_text(json.dumps({**base, "L": 10}))
         assert read_scenario(config).n_studies == 10
         config.write_text(json.dumps({**base, "n_studies": 15}))
-        assert read_scenario(config).n_studies == 15
-        config.write_text(json.dumps({**base, "L": 10, "n_studies": 15}))
-        with pytest.raises(ValueError, match="conflicting"):
+        with pytest.raises(ValueError, match=r"unknown scenario keys \['n_studies'\]"):
             read_scenario(config)
         config.write_text(json.dumps({**base, "L": 10, "bogus": 1}))
         with pytest.raises(ValueError, match="unknown scenario keys"):

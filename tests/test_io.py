@@ -132,8 +132,7 @@ def test_failure_mid_write_keeps_existing_output(table2_csv, tmp_path, monkeypat
     assert set(before) == {table2_csv.name, out.name, manifest.name}
 
 
-def test_manifest_options_record_every_parsed_option(tmp_path, monkeypatch):
-    monkeypatch.delenv("ADDMETA_WORKERS", raising=False)
+def test_manifest_options_record_every_parsed_option(tmp_path):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({
         "density": "f1", "L": 5, "mean_vec": [4, 5.5, 7],
@@ -164,6 +163,7 @@ SCENARIO = ('{"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 5.0,
     ('"mc_reps": 2, "n_triplet": [10, 15.5, 5]', "n_triplet[1]"),
     ('"mc_reps": 2, "L": 1e400', "L"),
     ('"mc_reps": 2, "seed": -1', "seed"),
+    ('"mc_reps": 2, "truncation": "none"', "truncation"),
 ])
 def test_invalid_scenario_numbers_exit_1_with_path_and_key(setting, key, tmp_path, capsys):
     config = tmp_path / "scenario.json"
@@ -181,3 +181,30 @@ def test_one_replicate_from_the_command_line_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{config}: mc_reps must be >= 2" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_one_inner_iteration_from_the_command_line_is_refused(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(SCENARIO + '"mc_reps": 4}')
+    assert main(["mc", str(config), "--inner-iterations", "1", "-o", str(tmp_path / "bias.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}: inner_iterations must be >= 2 for a Monte Carlo SE" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("mc", "scenario.json", "[5, 10]", "expected a JSON object of scenario settings"),
+    ("mc", "scenario.json", '{"L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 5.0, "n_triplet": [10, 15, 5]}',
+     "missing scenario key 'density'"),
+    ("effect", "in.csv", "study_id,m1,m2,m3,sd1,sd2,sd3,n1,n2\nA,1,2,3,1,1,1,5,5\n",
+     "missing required columns ['n3']"),
+    ("effect", "in.json", '{"study_id": "A"}', "expected a JSON list of study objects"),
+], ids=["scenario-not-an-object", "scenario-without-density", "csv-missing-column", "json-not-a-list"])
+def test_malformed_input_file_exits_1_with_path(command, name, text, message, tmp_path, capsys):
+    src = tmp_path / name
+    src.write_text(text)
+    assert main([command, str(src), "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{src}: {message}" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

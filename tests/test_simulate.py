@@ -279,3 +279,6 @@ class TestSimEffect:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(iterations=0)
+        # one draw has no Monte Carlo SE for d_se
+        with pytest.raises(ValueError, match="iterations must be >= 2 for a Monte Carlo SE"):
+            SimConfig(iterations=1)
