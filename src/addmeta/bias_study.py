@@ -9,7 +9,9 @@ The protocol, per replicate of a scenario:
    (normal, strongly right-skewed, asymmetric bimodal, or kurtotic normal
    mixture), affinely standardized so each group matches its drawn mean/SD;
 3. fit the additive regression to the original data ("true" per-study g)
-   and pool across studies for the true g-WM;
+   and pool across studies for the true g-WM; each study draws its data
+   from its own substream into row i of three (L, n_k) blocks, and one
+   stacked fit then gives every study's slope, residual SD, d and g;
 4. hand the reported parameters - not the sample statistics - to the crude
    estimator (pair-mean standardizer) and to the simulation estimator, and
    pool the per-study g's from each;
@@ -33,13 +35,13 @@ from typing import Literal, Sequence
 import numpy as np
 
 from ._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
-from .effects import StudySummary, crude_effect, effect_from_d
+from .effects import StudySummary, crude_effect, pairwise_g
 from .pooling import pool_random_effects
 from .simulate import (
     DEFAULT_SEED,
     DegenerateSampleError,
     SimConfig,
-    additive_regression,
+    additive_fit_rows,
     sim_effect,
 )
 
@@ -249,31 +251,30 @@ def _replicate(scenario: Scenario, rep: int):
             rng_params = substream(scenario.seed, MC_PARAMS, rep, attempt)
             means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws,
                                               scenario.n_studies, rng_params, scenario.truncation)
-            studies = []  # one (truth, crude, simulation) effect triple per study
-            for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
+            blocks = [np.empty((scenario.n_studies, n_k)) for n_k in n_triplet]
+            studies = list(zip(means.T.tolist(), sds.T.tolist()))
+            for i, (m, sd) in enumerate(studies):
                 rng_data = substream(scenario.seed, MC_DATA, rep, attempt, i)
-                groups = [
-                    sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
-                    for k in range(3)
-                ]
-                draw = additive_regression(groups)
+                for k in range(3):
+                    blocks[k][i] = sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
+            g_true, v_true = (x.tolist() for x in pairwise_g(additive_fit_rows(blocks)[2], n_triplet))
+            crude, sim = [], []
+            for i, (m, sd) in enumerate(studies):
                 summary = StudySummary(f"study{i + 1}", m, sd, n_triplet)
                 config = SimConfig(
                     iterations=scenario.inner_iterations,
                     seed=derive_seed(scenario.seed, MC_INNER, rep, attempt, i),
                 )
-                studies.append((
-                    effect_from_d(summary.study_id, draw.beta, draw.sd, draw.d, n_triplet, "crude"),
-                    crude_effect(summary, standardizer="pair-mean"),
-                    sim_effect(summary, config),
-                ))
-            gwm_true, gwm_crude, gwm_sim = (
-                pool_random_effects([(e.g, e.v_g) for e in column]).g_wm for column in zip(*studies)
+                crude.append(crude_effect(summary, standardizer="pair-mean"))
+                sim.append(sim_effect(summary, config))
+            gwm_true = pool_random_effects(list(zip(g_true, v_true))).g_wm
+            gwm_crude, gwm_sim = (
+                pool_random_effects([(e.g, e.v_g) for e in column]).g_wm for column in (crude, sim)
             )
             return (
-                math.fsum(abs(truth.g - crude.g) for truth, crude, _ in studies) / len(studies),
+                math.fsum(abs(g - e.g) for g, e in zip(g_true, crude)) / len(crude),
                 abs(gwm_true - gwm_crude),
-                math.fsum(abs(truth.g - sim.g) for truth, _, sim in studies) / len(studies),
+                math.fsum(abs(g - e.g) for g, e in zip(g_true, sim)) / len(sim),
                 abs(gwm_true - gwm_sim),
                 attempt,
             )

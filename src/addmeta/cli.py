@@ -93,7 +93,12 @@ def _cmd_mc(args) -> None:
 
 
 def _cmd_or(args) -> None:
-    rows = [(study, *combine_reported_ors(ab, bb)) for study, ab, bb in io.read_or_records(args.input)]
+    rows = []
+    for study, ab, bb in io.read_or_records(args.input):
+        try:
+            rows.append((study, *combine_reported_ors(ab, bb)))
+        except (ValueError, RuntimeError) as exc:
+            raise ValueError(f"{args.input}: study {study!r}: {exc}") from exc
     io.write_combined_ors(args.output, rows, args.precision)
 
 

@@ -5,7 +5,8 @@ genotype groups (0, 1 and 2 copies of the risk allele), a mean, a standard
 deviation and a sample size of some continuous phenotype.  This module holds
 the summary-statistics container and the "crude" estimator that turns those
 nine numbers into a standardized additive effect (Hedges' g with variance),
-plus the d-to-g step (``effect_from_d``) shared with the simulation estimator.
+plus the d-to-g step (``pairwise_g``, behind ``effect_from_d``) shared with the
+simulation estimator and the bias study's truth fit.
 
 Two standardizers are available for the crude slope, reflecting the two
 conventions found in published applications of this estimator:
@@ -144,6 +145,25 @@ def hedges_j(n_a: int, n_b: int) -> float:
     return 1.0 - 3.0 / denom
 
 
+def pairwise_g(d, n: Sequence[int]):
+    """Hedges' g and its variance from one additive d and the group sizes.
+
+    Both adjacent-group pairs (AA-AB and AB-BB) reuse the one additive d;
+    only the small-sample correction ``J`` and the variance of d are
+    pair-specific.  Each pair gives Hedges' ``J*d`` with variance
+    ``J**2 * v_d``, and ``(g, v_g)`` are their inverse-variance mean and its
+    variance.  ``d`` may be a float or an array of d's sharing ``n``.
+    """
+    n1, n2, n3 = n
+    weighted = []
+    for n_lo, n_hi in ((n1, n2), (n2, n3)):
+        j = hedges_j(n_lo, n_hi)
+        w = 1.0 / (j * j * cohens_d_variance(n_lo, n_hi, d))
+        weighted.append((j * d * w, w))
+    (gw12, w12), (gw23, w23) = weighted
+    return (gw12 + gw23) / (w12 + w23), 1.0 / (w12 + w23)
+
+
 def effect_from_d(
     study_id: str,
     beta: float,
@@ -153,31 +173,9 @@ def effect_from_d(
     method: Literal["crude", "simulation"],
     d_se: float | None = None,
 ) -> AdditiveEffect:
-    """Assemble an AdditiveEffect from a combined d and the group sizes.
-
-    Both adjacent-group pairs (AA-AB and AB-BB) reuse the one additive d;
-    only the small-sample correction ``J`` and the variance of d are
-    pair-specific.  Each pair gives Hedges' ``J*d`` with variance
-    ``J**2 * v_d``, and ``g``/``v_g`` are their inverse-variance mean and
-    its variance.
-    """
-    n1, n2, n3 = n
-    weighted = []
-    for n_lo, n_hi in ((n1, n2), (n2, n3)):
-        j = hedges_j(n_lo, n_hi)
-        w = 1.0 / (j * j * cohens_d_variance(n_lo, n_hi, d))
-        weighted.append((j * d * w, w))
-    (gw12, w12), (gw23, w23) = weighted
-    return AdditiveEffect(
-        study_id=study_id,
-        beta=beta,
-        sd_beta=sd_beta,
-        d=d,
-        g=(gw12 + gw23) / (w12 + w23),
-        v_g=1.0 / (w12 + w23),
-        method=method,
-        d_se=d_se,
-    )
+    """Assemble an AdditiveEffect from a combined d and the group sizes (see ``pairwise_g``)."""
+    g, v_g = pairwise_g(d, n)
+    return AdditiveEffect(study_id, beta, sd_beta, d, g, v_g, method, d_se)
 
 
 def crude_effect(summary: StudySummary, standardizer: Standardizer = "pair-mean") -> AdditiveEffect:

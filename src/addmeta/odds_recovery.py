@@ -161,7 +161,7 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
         if disc > -1e-9 * max(lam * lam, 1.0):
             disc = 0.0  # grazing root, lost to rounding
         else:
-            raise NegativeDiscriminantError(f"no real solution for {record}")
+            raise NegativeDiscriminantError(f"{record.label} record: no real solution for {record}")
     sqrt_disc = math.sqrt(disc)
     candidates = []
     for branch, signed in (("plus", sqrt_disc), ("minus", -sqrt_disc)):
@@ -189,7 +189,9 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
             )
         )
     if not candidates:
-        raise InfeasibleTableError(f"both recovered tables fall outside the margins for {record}")
+        raise InfeasibleTableError(
+            f"{record.label} record: both recovered tables fall outside the margins for {record}"
+        )
     return candidates
 
 

@@ -18,13 +18,15 @@ independent sd_k^2 * chi-square(n_k - 1), a gamma with shape (n_k - 1) / 2
 and scale 2 sd_k^2.  Each iteration therefore draws two correlated normals
 (slope and curvature) and one scaled gamma per group instead of N
 individuals; the estimate has the same distribution.  All iterations of a
-study draw from one random substream keyed by the seed.
+study draw from one random substream keyed by the seed.  The contrast
+weights depend only on the group sizes, so each n-triplet builds them once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -85,32 +87,42 @@ class _Design:
         self.slope_weights = n * centered / float((n * centered**2).sum())
         self.curvature_scale = 1.0 / float((_CURVATURE**2 / n).sum())
 
-    def fit(self, means: Sequence[float], sse: float) -> tuple[float, float]:
-        """Slope and residual sd, sqrt(RSS / (N - 2)), of one dataset's group means and SSE.
 
-        RSS is ``sse`` plus the lack of fit: two nonnegative parts that do not cancel.
-        """
-        beta = sum(w * m for w, m in zip(self.slope_weights, means))
-        curvature = sum(h * m for h, m in zip(_CURVATURE, means))
-        rss = sse + self.curvature_scale * curvature * curvature
-        return float(beta), math.sqrt(rss / (self.n_total - 2.0))
+# one _Design per n-triplet, keyed by the tuple (the bias-study grid has eight)
+_design = lru_cache(maxsize=16)(_Design)
+
+
+def additive_fit_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit the additive model to L individual-level datasets at once.
+
+    ``blocks`` holds three (L, n_k) arrays: row i of block k is group k of
+    dataset i.  Returns the L least-squares slopes on group codes (1, 2, 3),
+    residual standard deviations sqrt(RSS / (N - 2)) and their ratios d.
+    RSS is each row's within-group SSE plus the lack of fit: two
+    nonnegative parts that do not cancel.  Raises DegenerateSampleError if
+    any dataset has zero variance in every group and no lack of fit.
+    """
+    if len(blocks) != 3:
+        raise ValueError(f"expected 3 groups, got {len(blocks)}")
+    design = _design(tuple(block.shape[1] for block in blocks))
+    means = [block.sum(axis=1) / block.shape[1] for block in blocks]
+    sse = sum(((block - m[:, None]) ** 2).sum(axis=1) for block, m in zip(blocks, means))
+    beta = sum(w * m for w, m in zip(design.slope_weights, means))
+    curvature = sum(h * m for h, m in zip(_CURVATURE, means))
+    sd = np.sqrt((sse + design.curvature_scale * curvature * curvature) / (design.n_total - 2.0))
+    if (sd == 0.0).any():
+        raise DegenerateSampleError("sample has zero variance in every group and no slope")
+    return beta, sd, beta / sd
 
 
 def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
     """Fit the additive model to one individual-level dataset.
 
-    ``groups`` holds the three per-group phenotype vectors.  Returns the
-    least-squares slope on group codes (1, 2, 3), the residual standard
-    deviation, and their ratio d.
+    ``groups`` holds the three per-group phenotype vectors; this is
+    ``additive_fit_rows`` on a stack of one.
     """
-    if len(groups) != 3:
-        raise ValueError(f"expected 3 groups, got {len(groups)}")
-    means = [float(np.mean(g)) for g in groups]
-    sse = sum(float(((g - m) ** 2).sum()) for g, m in zip(groups, means))
-    beta, sd = _Design([len(g) for g in groups]).fit(means, sse)
-    if sd == 0.0:
-        raise DegenerateSampleError("sample has zero variance in every group and no slope")
-    return SimDraw(beta=beta, sd=sd, d=beta / sd)
+    beta, sd, d = additive_fit_rows([np.asarray(g, dtype=float)[None, :] for g in groups])
+    return SimDraw(beta=float(beta[0]), sd=float(sd[0]), d=float(d[0]))
 
 
 def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,7 +132,7 @@ def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.nda
     times one (2, iterations) normal block; then one gamma SSE run per group.
     """
     n = np.asarray(summary.n, dtype=float)
-    design = _Design(n)
+    design = _design(summary.n)
     w, h, m = design.slope_weights, _CURVATURE, np.asarray(summary.m)
     var = np.asarray(summary.sd, dtype=float) ** 2
     mean_var = var / n  # the variance of each drawn group mean
@@ -139,7 +151,7 @@ def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.nda
     rss += design.curvature_scale * curvature
     rss /= design.n_total - 2.0
     sds = np.sqrt(rss, out=rss)
-    if np.any(sds == 0.0):
+    if (sds == 0.0).any():
         raise DegenerateSampleError("zero-variance draw in simulation")
     return betas, sds, betas / sds
 
@@ -151,11 +163,15 @@ def simulate_study(summary: StudySummary, config: SimConfig = SimConfig()) -> Si
     """
     betas, sds, ds = _draws(summary, config)
     n_iter = config.iterations
+    # ndarray.sum and a division give numpy's mean() and std(ddof=1) bit for bit, minus their wrappers
+    d_mean = float(ds.sum()) / n_iter
+    ds -= d_mean
+    ds *= ds
     return SimStats(
-        beta_mean=float(betas.mean()),
-        sd_beta_mean=float(sds.mean()),
-        d_mean=float(ds.mean()),
-        d_se=float(ds.std(ddof=1)) / math.sqrt(n_iter),
+        beta_mean=float(betas.sum()) / n_iter,
+        sd_beta_mean=float(sds.sum()) / n_iter,
+        d_mean=d_mean,
+        d_se=math.sqrt(float(ds.sum()) / (n_iter - 1)) / math.sqrt(n_iter),
         iterations=n_iter,
     )
 

@@ -1,12 +1,13 @@
 """Mixture densities, parameter perturbation, and the bias-study harness."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from addmeta import bias_study
-from addmeta._rng import substream
+from addmeta._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
 from addmeta.bias_study import (
     DENSITIES,
     N_TRIPLETS,
@@ -17,9 +18,9 @@ from addmeta.bias_study import (
     run_scenario,
     sample_standardized,
 )
-from addmeta.effects import crude_effect
+from addmeta.effects import StudySummary, crude_effect, effect_from_d
 from addmeta.pooling import pool_random_effects
-from addmeta.simulate import DegenerateSampleError
+from addmeta.simulate import DegenerateSampleError, SimConfig, _Design, sim_effect
 
 # a fixed stream key per density: str hashes are salted per process
 DENSITY_KEYS = {"f1": 1, "f2": 2, "f3": 3, "f4": 4}
@@ -282,3 +283,79 @@ class TestRunScenario:
             values.append(run_scenario(scenario).bias_gwm_sim)
         inversions = sum(1 for a, b in zip(values, values[1:]) if b > a)
         assert inversions <= 1, values
+
+
+def _reference_fit(groups):
+    """Truth fit of one dataset, one group at a time: numpy means and Python-float contrasts."""
+    design = _Design([len(g) for g in groups])
+    means = [float(np.mean(g)) for g in groups]
+    sse = sum(float(((g - m) ** 2).sum()) for g, m in zip(groups, means))
+    beta = sum(w * m for w, m in zip(design.slope_weights, means))
+    curvature = sum(h * m for h, m in zip((1.0, -2.0, 1.0), means))
+    sd = math.sqrt((sse + design.curvature_scale * curvature * curvature) / (design.n_total - 2.0))
+    if sd == 0.0:
+        raise DegenerateSampleError("sample has zero variance in every group and no slope")
+    return beta, sd, beta / sd
+
+
+def _reference_replicate(scenario, rep):
+    """A replicate scored one study at a time: each study's truth fit and d-to-g on its own."""
+    density = DENSITIES[scenario.density]
+    n_triplet = scenario.n_triplet
+    for attempt in range(bias_study.MAX_REPLICATE_RETRIES):
+        try:
+            means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, scenario.n_studies,
+                                              substream(scenario.seed, MC_PARAMS, rep, attempt),
+                                              scenario.truncation)
+            studies = []  # one (truth, crude, simulation) effect triple per study
+            for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
+                rng_data = substream(scenario.seed, MC_DATA, rep, attempt, i)
+                groups = [bias_study.sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
+                          for k in range(3)]
+                beta, sd_beta, d = _reference_fit(groups)
+                summary = StudySummary(f"study{i + 1}", m, sd, n_triplet)
+                config = SimConfig(iterations=scenario.inner_iterations,
+                                   seed=derive_seed(scenario.seed, MC_INNER, rep, attempt, i))
+                studies.append((
+                    effect_from_d(summary.study_id, beta, sd_beta, d, n_triplet, "crude"),
+                    crude_effect(summary, standardizer="pair-mean"),
+                    sim_effect(summary, config),
+                ))
+            gwm_true, gwm_crude, gwm_sim = (
+                pool_random_effects([(e.g, e.v_g) for e in column]).g_wm for column in zip(*studies)
+            )
+            return (
+                math.fsum(abs(truth.g - crude.g) for truth, crude, _ in studies) / len(studies),
+                abs(gwm_true - gwm_crude),
+                math.fsum(abs(truth.g - sim.g) for truth, _, sim in studies) / len(studies),
+                abs(gwm_true - gwm_sim),
+                attempt,
+            )
+        except DegenerateSampleError:
+            continue
+    raise DegenerateSampleError("reference replicate degenerate")
+
+
+class TestStackedReplicate:
+    @pytest.mark.parametrize("fid, truncation, n_triplet", itertools.product(
+        ["f1", "f2", "f3", "f4"], ["paper", "per-group"], [(10, 15, 5), (300, 400, 240)]))
+    def test_matches_per_study_reference_bit_for_bit(self, fid, truncation, n_triplet):
+        scenario = Scenario(density=fid, n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
+                            n_triplet=n_triplet, inner_iterations=40, seed=23, truncation=truncation)
+        for rep in range(2):
+            assert _replicate(scenario, rep) == _reference_replicate(scenario, rep)
+
+    def test_degenerate_study_retries_the_replicate(self, monkeypatch):
+        # study 2 of attempt 0 draws constant, equal groups: its truth fit has sd 0
+        calls = {"n": 0}
+
+        def constant_second_study(density, n, target_mean, target_sd, rng):
+            calls["n"] += 1
+            x = sample_standardized(density, n, target_mean, target_sd, rng)
+            return np.full(n, 3.0) if 4 <= calls["n"] <= 6 else x
+
+        monkeypatch.setattr(bias_study, "sample_standardized", constant_second_study)
+        row = _replicate(SMALL, 0)
+        calls["n"] = 0
+        assert row == _reference_replicate(SMALL, 0)
+        assert row[4] == 1

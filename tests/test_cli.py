@@ -342,3 +342,19 @@ class TestOrCommand:
         )
         assert main(["or", str(src), "-o", str(tmp_path / "o.csv")]) == 1
         assert "BB_vs_AB" in capsys.readouterr().err
+
+    def test_infeasible_record_names_path_study_and_label(self, tmp_path, capsys):
+        src = tmp_path / "ors.csv"
+        src.write_text(
+            "study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n"
+            "demo,AB_vs_AA,3.00,1.05,8.60,30,30\n"
+            "demo,BB_vs_AB,1.00,0.36,2.81,30,30\n"
+            "narrow,AB_vs_AA,2.0,1.1,3.6,40,40\n"
+            "narrow,BB_vs_AB,1.00,0.36,2.81,30,30\n"
+        )
+        out = tmp_path / "o.csv"
+        assert main(["or", str(src), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: study 'narrow': AB_vs_AA record: no real solution")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ors.csv"]

@@ -13,6 +13,7 @@ from addmeta.simulate import (
     DegenerateSampleError,
     SimConfig,
     _draws,
+    additive_fit_rows,
     additive_regression,
     sim_effect,
     simulate_study,
@@ -103,6 +104,35 @@ def test_contrast_fit_matches_least_squares(n, offset, slope, spreads, seed):
     assert draw.beta == pytest.approx(beta, rel=1e-9, abs=1e-9 * sd)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.tuples(*[st.integers(2, 400)] * 3),
+    studies=st.integers(1, 6),
+    offset=st.floats(-1e4, 1e4),
+    spread=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_stacked_row_is_its_own_fit_bit_for_bit(n, studies, offset, spread, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [offset + code * rng.normal(0.0, 1.0, studies)[:, None]
+              + rng.normal(0.0, spread, (studies, k)) for code, k in zip((1, 2, 3), n)]
+    beta, sd, d = additive_fit_rows(blocks)
+    for i in range(studies):
+        draw = additive_regression([block[i] for block in blocks])
+        assert (beta[i], sd[i], d[i]) == (draw.beta, draw.sd, draw.d)
+
+
+@pytest.mark.parametrize("slope", [0.0, 1.5])
+def test_one_degenerate_study_in_the_stack_raises(slope):
+    # constant groups on a line: no within-group SSE and no lack of fit, so sd 0
+    rng = np.random.default_rng(7)
+    blocks = [rng.normal(code, 1.0, (4, k)) for code, k in zip((1, 2, 3), (10, 15, 5))]
+    for code, block in zip((1, 2, 3), blocks):
+        block[2] = 2.0 + slope * code
+    with pytest.raises(DegenerateSampleError):
+        additive_fit_rows(blocks)
+
+
 def simulate_study_once(summary, rng):
     """Reference sampler: draw every subject of one dataset and fit it."""
     groups = [rng.normal(summary.m[k], summary.sd[k], size=summary.n[k]) for k in range(3)]
@@ -150,6 +180,24 @@ def noncentral_t_mean_d(beta, sigma, n):
     delta = beta * math.sqrt(s_xx) / sigma
     t_mean = delta * math.sqrt(nu / 2) * math.exp(math.lgamma((nu - 1) / 2) - math.lgamma(nu / 2))
     return t_mean / math.sqrt(s_xx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+    sd=st.tuples(*[st.floats(0.01, 20.0)] * 3),
+    n=st.tuples(*[st.integers(2, 300)] * 3),
+    iterations=st.integers(2, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_iteration_reductions_equal_numpy_mean_and_std(m, sd, n, iterations, seed):
+    summary, config = StudySummary("s", m, sd, n), SimConfig(iterations=iterations, seed=seed)
+    betas, sds, ds = _draws(summary, config)
+    stats = simulate_study(summary, config)
+    assert stats.beta_mean == float(betas.mean())
+    assert stats.sd_beta_mean == float(sds.mean())
+    assert stats.d_mean == float(ds.mean())
+    assert stats.d_se == float(ds.std(ddof=1)) / math.sqrt(iterations)
 
 
 class TestNoncentralTOracle:
