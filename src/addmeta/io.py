@@ -24,9 +24,9 @@ from .pooling import MetaResult
 
 STUDY_FIELDS = ["study_id", "m1", "m2", "m3", "sd1", "sd2", "sd3", "n1", "n2", "n3"]
 EFFECT_FIELDS = ["study_id", "method", "beta", "sd_beta", "d", "g", "v_g", "seed", "iterations", "d_se"]
-META_FIELDS = ["k", "g_wm", "v_wm", "tau2", "ci_lo", "ci_hi"]
+META_FIELDS = ["k", "g_wm", "v_wm", "tau2", "ci_lo", "ci_hi", "q", "i2"]
 OR_INPUT_FIELDS = ["study_id", "label", "or", "ci_lo", "ci_hi", "m_top", "m_bottom"]
-OR_OUTPUT_FIELDS = ["study_id", "or_combined", "ci_lo", "ci_hi", "pairing", "ab_distance"]
+OR_OUTPUT_FIELDS = ["study_id", "or_combined", "ci_lo", "ci_hi", "pairing", "ab_distance", "iterations_used"]
 BIAS_FIELDS = [
     "density", "L", "sigma_ws", "m1", "m2", "m3", "n1", "n2", "n3",
     "bias_g_crude", "bias_gwm_crude", "bias_g_sim", "bias_gwm_sim",
@@ -173,7 +173,7 @@ def read_effects(path) -> list[tuple[str, float, float]]:
 
 
 def write_meta_result(path, result: MetaResult, precision: int = DEFAULT_PRECISION) -> None:
-    values = (result.g_wm, result.v_wm, result.tau2, result.ci_lo, result.ci_hi)
+    values = (result.g_wm, result.v_wm, result.tau2, result.ci_lo, result.ci_hi, result.q, result.i2)
     _write_csv(path, META_FIELDS, [[result.k] + [fmt(v, precision) for v in values]])
 
 
@@ -213,7 +213,7 @@ def write_combined_ors(
     _write_csv(path, OR_OUTPUT_FIELDS, [
         [study]
         + [fmt(v, precision) for v in (combined.or_value, combined.ci_lo, combined.ci_hi)]
-        + [merged.pairing, fmt(merged.ab_distance, precision)]
+        + [merged.pairing, fmt(merged.ab_distance, precision), combined.iterations_used]
         for study, merged, combined in rows
     ])
 

@@ -13,13 +13,13 @@ produce the single additive-model odds ratio with a Wald interval.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import numpy as np
-
 Z_95 = 1.96
 MAX_NEWTON_ITERATIONS = 50
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 Label = Literal["AB_vs_AA", "BB_vs_AB"]
 Branch = Literal["plus", "minus"]
@@ -239,35 +239,56 @@ def select_pairing(
     )
 
 
-def _logistic_fit(y_counts: np.ndarray, totals: np.ndarray, x: np.ndarray):
-    """Newton-Raphson MLE of logit(p) = b0 + b1*x on grouped counts."""
-    design = np.column_stack([np.ones_like(x), x])
-    beta = np.zeros(2)
+def _logistic(eta: float) -> float:
+    """1 / (1 + e^-eta), in the form whose exponential cannot overflow."""
+    if eta >= 0:
+        return 1.0 / (1.0 + math.exp(-eta))
+    e = math.exp(eta)
+    return e / (1.0 + e)
+
+
+def _score_and_information(groups, b0: float, b1: float, iteration: int):
+    """Score (s0, s1), information (i00, i01, i11) and its determinant at (b0, b1)."""
+    s0 = s1 = i00 = i01 = i11 = 0.0
+    for present, total, x in groups:
+        p = _logistic(b0 + x * b1)
+        residual = present - total * p
+        w = total * p * (1.0 - p)
+        s0 += residual
+        s1 += x * residual
+        i00 += w
+        i01 += x * w
+        i11 += x * (x * w)
+    if not (math.isfinite(i00) and math.isfinite(i01) and math.isfinite(i11)):
+        raise SeparationError(f"information matrix not finite after {iteration} iterations")
+    det = i00 * i11 - i01 * i01
+    if det == 0:
+        raise SeparationError(f"singular information matrix at iteration {iteration}")
+    return s0, s1, i00, i01, i11, det
+
+
+def _logistic_fit(groups) -> tuple[float, float, int]:
+    """Newton-Raphson MLE of logit(p) = b0 + b1*x on grouped counts.
+
+    ``groups`` holds one (present, total, x) triple per genotype group with a
+    nonzero total.  Returns b1, its variance (inverse observed information
+    at the fit) and the number of Newton steps taken.
+    """
+    b0 = b1 = 0.0
     trail = []
     for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
-        eta = design @ beta
-        p = 1.0 / (1.0 + np.exp(-eta))
-        score = design.T @ (y_counts - totals * p)
-        weights = totals * p * (1.0 - p)
-        info = design.T @ (weights[:, None] * design)
-        if not np.all(np.isfinite(info)):
-            raise SeparationError(f"information matrix not finite after {iteration} iterations")
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError as exc:
-            raise SeparationError(f"singular information matrix at iteration {iteration}") from exc
-        beta = beta + step
-        trail.append((iteration, float(beta[0]), float(beta[1]), float(np.max(np.abs(score)))))
+        s0, s1, i00, i01, i11, det = _score_and_information(groups, b0, b1, iteration)
+        step0 = (i11 * s0 - i01 * s1) / det
+        step1 = (i00 * s1 - i01 * s0) / det
+        b0 += step0
+        b1 += step1
+        trail.append((iteration, b0, b1, max(abs(s0), abs(s1))))
         # a log-OR this size only arises when the likelihood has no maximum
-        if abs(beta[1]) > 20.0:
-            raise SeparationError(f"slope diverging (b1={beta[1]:.3g}) after {iteration} iterations")
-        if np.max(np.abs(score)) < 1e-10 or np.max(np.abs(step)) < 1e-10:
-            eta = design @ beta
-            p = 1.0 / (1.0 + np.exp(-eta))
-            weights = totals * p * (1.0 - p)
-            info = design.T @ (weights[:, None] * design)
-            covariance = np.linalg.inv(info)
-            return beta, covariance, iteration
+        if abs(b1) > 20.0:
+            raise SeparationError(f"slope diverging (b1={b1:.3g}) after {iteration} iterations")
+        if (abs(s0) < 1e-10 and abs(s1) < 1e-10) or (abs(step0) < 1e-10 and abs(step1) < 1e-10):
+            _, _, i00, _, _, det = _score_and_information(groups, b0, b1, iteration)
+            return b1, i00 / det, iteration
     raise ConvergenceError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations; trail={trail}")
 
 
@@ -279,18 +300,21 @@ def combined_or(merged: MergedTable) -> CombinedOR:
     exponentiates the slope; the CI is Wald with the SE from the inverse
     observed information.
     """
-    y = np.array([merged.aa[0], merged.ab[0], merged.bb[0]], dtype=float)
-    totals = np.array([sum(merged.aa), sum(merged.ab), sum(merged.bb)], dtype=float)
-    x = np.array([1.0, 2.0, 3.0])
-    keep = totals > 0
-    if keep.sum() < 2:
+    rows = ((1.0, merged.aa), (2.0, merged.ab), (3.0, merged.bb))
+    groups = [(float(present), float(present + absent), x)
+              for x, (present, absent) in rows if present + absent > 0]
+    if len(groups) < 2:
         raise ValueError("need counts in at least two genotype groups")
-    total_present = y.sum()
-    if total_present == 0 or total_present == totals.sum():
+    total_present = sum(present for present, _, _ in groups)
+    if total_present == 0 or total_present == sum(total for _, total, _ in groups):
         raise ValueError("phenotype vector is constant; no odds ratio is identifiable")
-    beta, covariance, iterations = _logistic_fit(y[keep], totals[keep], x[keep])
-    b1 = float(beta[1])
-    se = math.sqrt(covariance[1, 1])
+    b1, variance, iterations = _logistic_fit(groups)
+    # fitted probabilities rounded to 0 or 1 leave the slope's likelihood flat
+    if not (variance > 0 and abs(b1) + Z_95 * math.sqrt(variance) < _LOG_FLOAT_MAX):
+        raise SeparationError(
+            f"no finite Wald interval (variance of b1 {variance:.3g}) after {iterations} iterations"
+        )
+    se = math.sqrt(variance)
     return CombinedOR(
         or_value=math.exp(b1),
         ci_lo=math.exp(b1 - Z_95 * se),

@@ -4,6 +4,8 @@ DerSimonian-Laird estimation: the between-study variance tau^2 is the
 truncated moment estimator based on Cochran's Q, study weights are
 ``1 / (v_i + tau^2)``, and the pooled effect ("g-WM", a weighted mean of the
 per-study g values) carries a normal-approximation 95% confidence interval.
+Q and I^2 = max(0, (Q - (k - 1)) / Q) describe the heterogeneity (Higgins &
+Thompson 2002).
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ class MetaResult:
     ci_hi: float
     k: int
     weights: tuple[float, ...]  # normalized to sum to 1
+    q: float  # Cochran's Q about the fixed-effect mean
+    i2: float  # share of Q beyond its k - 1 degrees of freedom
 
 
 def pool_random_effects(effects: Sequence[tuple[float, float]]) -> MetaResult:
     """Pool (g, v_g) pairs under the DerSimonian-Laird random-effects model.
 
-    A single study is returned as-is with ``tau2 = 0``.  Raises ``ValueError``
-    on empty input or nonpositive variances.
+    A single study is returned as-is with ``tau2 = q = i2 = 0``.  Raises
+    ``ValueError`` on empty input or nonpositive variances.
     """
     if len(effects) == 0:
         raise ValueError("cannot pool an empty set of effects")
@@ -42,7 +46,8 @@ def pool_random_effects(effects: Sequence[tuple[float, float]]) -> MetaResult:
     if k == 1:
         g, v = gs[0], vs[0]
         half = Z_95 * math.sqrt(v)
-        return MetaResult(g_wm=g, v_wm=v, tau2=0.0, ci_lo=g - half, ci_hi=g + half, k=1, weights=(1.0,))
+        return MetaResult(g_wm=g, v_wm=v, tau2=0.0, ci_lo=g - half, ci_hi=g + half, k=1,
+                          weights=(1.0,), q=0.0, i2=0.0)
 
     w = [1.0 / v for v in vs]
     sum_w = math.fsum(w)
@@ -64,4 +69,6 @@ def pool_random_effects(effects: Sequence[tuple[float, float]]) -> MetaResult:
         ci_hi=g_wm + half,
         k=k,
         weights=tuple(wi / sum_ws for wi in w_star),
+        q=q,
+        i2=max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0,
     )

@@ -15,6 +15,7 @@ from addmeta.bias_study import (
     full_grid,
 )
 from addmeta.cli import main
+from addmeta.odds_recovery import ORRecord, combine_reported_ors
 
 
 def read_rows(path):
@@ -212,6 +213,17 @@ class TestMetaCommand:
         assert float(row["g_wm"]) == pytest.approx(expected, abs=1e-6)
         assert float(row["tau2"]) == pytest.approx(tau2, abs=1e-6)
 
+    def test_heterogeneity_columns(self, tmp_path):
+        # w = 100 each: Q = 100 * (0.09 + 0 + 0.09) = 18 on 2 df, I^2 = 16/18
+        effects = tmp_path / "e.csv"
+        effects.write_text("study_id,g,v_g\na,0.0,0.01\nb,0.3,0.01\nc,0.6,0.01\n")
+        out = tmp_path / "m.csv"
+        assert main(["meta", str(effects), "-o", str(out), "--precision", "12"]) == 0
+        assert out.read_text().splitlines()[0] == "k,g_wm,v_wm,tau2,ci_lo,ci_hi,q,i2"
+        row = read_rows(out)[0]
+        assert float(row["q"]) == pytest.approx(18.0, rel=1e-11)
+        assert float(row["i2"]) == pytest.approx(8 / 9, rel=1e-11)
+
     def test_duplicate_study_id_rejected_with_row_number(self, tmp_path, capsys):
         effects = tmp_path / "e.csv"
         effects.write_text("study_id,g,v_g\nA,0.2,0.02\nA,0.2,0.02\nB,0.5,0.04\n")
@@ -322,6 +334,33 @@ class TestOrCommand:
         assert float(row["ci_hi"]) == pytest.approx(2.9205, abs=0.005)
         assert row["pairing"] == "plus+minus"
         assert float(row["ab_distance"]) == 0.0
+
+    def test_iterations_used_column(self, or_records_csv, tmp_path):
+        out = tmp_path / "or.csv"
+        assert main(["or", str(or_records_csv), "-o", str(out)]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == "study_id,or_combined,ci_lo,ci_hi,pairing,ab_distance,iterations_used"
+        _, combined = combine_reported_ors(ORRecord("AB_vs_AA", 3.00, 1.05, 8.60, 30, 30),
+                                           ORRecord("BB_vs_AB", 1.00, 0.36, 2.81, 30, 30))
+        assert read_rows(out)[0]["iterations_used"] == str(combined.iterations_used)
+
+    def test_unbounded_interval_exits_1_naming_the_study(self, tmp_path, capsys):
+        # merges to AA (2, 66589981), AB (0, 1), BB (0, 375301268): the slope's
+        # likelihood is flat, and its Wald interval does not fit in a float
+        src = tmp_path / "ors.csv"
+        src.write_text(
+            "study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n"
+            "demo,AB_vs_AA,3.00,1.05,8.60,30,30\n"
+            "demo,BB_vs_AB,1.00,0.36,2.81,30,30\n"
+            "flat,AB_vs_AA,6658997.800000001,28931.905758197616,1532641923.798638,1,66589983\n"
+            "flat,BB_vs_AB,2.131620828949611e-09,4.3343588874569946e-12,1.0483228261418172e-06,"
+            "375301268,1\n"
+        )
+        assert main(["or", str(src), "-o", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: study 'flat': no finite Wald interval")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ors.csv"]
 
     def test_null_pair_combines_to_unity(self, tmp_path):
         src = tmp_path / "ors.csv"

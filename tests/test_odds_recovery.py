@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from addmeta.odds_recovery import (
+    MAX_NEWTON_ITERATIONS,
     CandidateTable,
+    CombinedOR,
+    ConvergenceError,
     MergedTable,
     NegativeDiscriminantError,
     ORRecord,
     SeparationError,
+    _logistic,
     combine_reported_ors,
     combined_or,
     recover_tables,
@@ -42,6 +48,67 @@ def grid_search_logit_slope(merged: MergedTable) -> float:
         center = np.array([b0s[i], b1s[j]])
         span = 4.0 * span / (points - 1)
     return float(center[1])
+
+
+def reference_logistic_fit(y_counts: np.ndarray, totals: np.ndarray, x: np.ndarray):
+    """Newton-Raphson MLE of logit(p) = b0 + b1*x with numpy arrays and a matrix solve.
+
+    The fit ``combined_or`` used before its scalar form, kept as a reference.
+    """
+    design = np.column_stack([np.ones_like(x), x])
+    beta = np.zeros(2)
+    trail = []
+    for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
+        eta = design @ beta
+        p = 1.0 / (1.0 + np.exp(-eta))
+        score = design.T @ (y_counts - totals * p)
+        weights = totals * p * (1.0 - p)
+        info = design.T @ (weights[:, None] * design)
+        if not np.all(np.isfinite(info)):
+            raise SeparationError(f"information matrix not finite after {iteration} iterations")
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError as exc:
+            raise SeparationError(f"singular information matrix at iteration {iteration}") from exc
+        beta = beta + step
+        trail.append((iteration, float(beta[0]), float(beta[1]), float(np.max(np.abs(score)))))
+        if abs(beta[1]) > 20.0:
+            raise SeparationError(f"slope diverging (b1={beta[1]:.3g}) after {iteration} iterations")
+        if np.max(np.abs(score)) < 1e-10 or np.max(np.abs(step)) < 1e-10:
+            eta = design @ beta
+            p = 1.0 / (1.0 + np.exp(-eta))
+            weights = totals * p * (1.0 - p)
+            info = design.T @ (weights[:, None] * design)
+            covariance = np.linalg.inv(info)
+            return beta, covariance, iteration
+    raise ConvergenceError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations; trail={trail}")
+
+
+def reference_combined_or(merged: MergedTable) -> CombinedOR:
+    """``combined_or`` as it was with ``reference_logistic_fit``.
+
+    numpy's overflow and invalid-value warnings are silenced, so the
+    reference computes with the same inf and nan a plain run produces.
+    """
+    y = np.array([merged.aa[0], merged.ab[0], merged.bb[0]], dtype=float)
+    totals = np.array([sum(merged.aa), sum(merged.ab), sum(merged.bb)], dtype=float)
+    x = np.array([1.0, 2.0, 3.0])
+    keep = totals > 0
+    if keep.sum() < 2:
+        raise ValueError("need counts in at least two genotype groups")
+    total_present = y.sum()
+    if total_present == 0 or total_present == totals.sum():
+        raise ValueError("phenotype vector is constant; no odds ratio is identifiable")
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, covariance, iterations = reference_logistic_fit(y[keep], totals[keep], x[keep])
+    b1 = float(beta[1])
+    se = math.sqrt(covariance[1, 1])
+    return CombinedOR(math.exp(b1), math.exp(b1 - 1.96 * se), math.exp(b1 + 1.96 * se),
+                      b1, se, iterations)
+
+
+def merged_table(aa, ab, bb) -> MergedTable:
+    return MergedTable(bb=bb, ab=ab, aa=aa, ab_branch="plus", bb_branch="plus", ab_distance=0.0)
 
 
 class TestSeFromCi:
@@ -245,6 +312,71 @@ class TestCombinedOR:
         result = combined_or(TABLE7)
         assert result.ci_lo == pytest.approx(math.exp(result.beta - 1.96 * result.se_beta), rel=1e-12)
         assert result.ci_hi == pytest.approx(math.exp(result.beta + 1.96 * result.se_beta), rel=1e-12)
+
+
+LARGE_COUNTS = st.one_of(st.integers(0, 5), st.integers(0, 10**9), st.integers(10**9 - 5, 10**9))
+
+
+class TestScalarFit:
+    @settings(max_examples=400, deadline=None)
+    @example(rows=[(0, 1), (0, 0), (1, 1)], empty=None)  # the reference's interval overflows
+    @example(rows=[(0, 30), (15, 15), (30, 0)], empty=None)  # complete separation
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 500), st.integers(0, 500)), min_size=3, max_size=3),
+        empty=st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_matches_numpy_reference(self, rows, empty):
+        if empty is not None:
+            rows[empty] = (0, 0)
+        merged = merged_table(*rows)
+        try:
+            reference = reference_combined_or(merged)
+        except OverflowError:
+            # the reference's Wald interval did not fit in a float; the scalar fit refuses it
+            with pytest.raises(SeparationError, match="no finite Wald interval"):
+                combined_or(merged)
+            return
+        except (ValueError, RuntimeError) as exc:
+            with pytest.raises(type(exc)):
+                combined_or(merged)
+            return
+        fitted = combined_or(merged)
+        assert fitted.iterations_used == reference.iterations_used
+        # a slope that is zero up to rounding has no relative precision
+        assert math.isclose(fitted.beta, reference.beta, rel_tol=1e-10, abs_tol=1e-13)
+        assert math.isclose(fitted.se_beta, reference.se_beta, rel_tol=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @example(rows=[(173065594, 0), (3, 0), (77313641, 3)])  # overflowed the Wald interval before
+    @given(rows=st.lists(st.tuples(LARGE_COUNTS, LARGE_COUNTS), min_size=3, max_size=3))
+    def test_large_counts_give_a_finite_fit_or_a_refusal(self, rows):
+        try:
+            fitted = combined_or(merged_table(*rows))
+        except ValueError as exc:
+            assert "constant" in str(exc) or "two genotype groups" in str(exc)
+            return
+        except (SeparationError, ConvergenceError):
+            # near 1e9 counts the rounding error of the score exceeds the 1e-10
+            # stopping rule, so a fit can also run out of iterations
+            return
+        values = (fitted.or_value, fitted.ci_lo, fitted.ci_hi, fitted.beta, fitted.se_beta)
+        assert all(math.isfinite(v) for v in values)
+        assert 0.0 < fitted.ci_lo <= fitted.or_value <= fitted.ci_hi
+
+    def test_saturated_probabilities_with_unbounded_interval_are_separation(self):
+        # groups 2 and 3 have no present count: the fitted probabilities round to 0
+        # there, the fit stops, and the slope's SE is about 1.7e5
+        with pytest.raises(SeparationError, match="no finite Wald interval"):
+            combined_or(merged_table((2, 66589981), (0, 1), (0, 375301268)))
+
+    @pytest.mark.parametrize("eta", [745.0, 746.0, 1e4, 1e308, math.inf])
+    def test_logistic_saturates_without_overflow(self, eta):
+        assert _logistic(eta) == 1.0
+        assert 0.0 <= _logistic(-eta) < 1e-300
+
+    def test_logistic_is_symmetric(self):
+        for eta in (0.0, 1e-12, 0.5, 3.0, 36.0):
+            assert _logistic(eta) + _logistic(-eta) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_full_pipeline_matches_published_example():

@@ -52,6 +52,28 @@ def test_tau2_truncated_at_zero_when_q_small():
     assert result.tau2 == 0.0
 
 
+def test_hand_computed_q_and_i2():
+    # w = 100 each and a fixed-effect mean of 0.3: Q = 100 * (0.09 + 0 + 0.09) = 18
+    # on 2 degrees of freedom, so I^2 = (18 - 2) / 18 = 8/9
+    result = pool_random_effects([(0.0, 0.01), (0.3, 0.01), (0.6, 0.01)])
+    assert result.q == pytest.approx(18.0, rel=1e-12)
+    assert result.i2 == pytest.approx(8 / 9, rel=1e-12)
+
+
+def test_i2_is_zero_when_q_is_below_its_degrees_of_freedom():
+    # Q = 100 * (0.01^2 + 0 + 0.01^2) = 0.02 < 2
+    result = pool_random_effects([(0.10, 0.01), (0.11, 0.01), (0.12, 0.01)])
+    assert result.q == pytest.approx(0.02, rel=1e-9)
+    assert result.i2 == 0.0
+
+
+def test_single_study_and_identical_studies_have_no_heterogeneity():
+    single = pool_random_effects([(0.5, 0.04)])
+    assert (single.q, single.i2) == (0.0, 0.0)
+    identical = pool_random_effects([(0.3, 0.01), (0.3, 0.01)])
+    assert (identical.q, identical.i2) == (0.0, 0.0)
+
+
 def test_empty_and_bad_variance_errors():
     with pytest.raises(ValueError, match="empty"):
         pool_random_effects([])
@@ -81,6 +103,8 @@ def test_pooled_estimate_within_range(effects):
     assert result.v_wm > 0.0
     assert result.ci_lo < result.ci_hi
     assert math.fsum(result.weights) == pytest.approx(1.0, rel=1e-12)
+    assert result.q >= 0.0
+    assert 0.0 <= result.i2 < 1.0
 
 
 def test_homogeneous_inputs_give_arithmetic_mean():
