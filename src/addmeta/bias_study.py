@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Literal, Sequence
 
 import numpy as np
@@ -285,19 +283,58 @@ def _replicate(scenario: Scenario, rep: int):
     )
 
 
+def _shard(scenario: Scenario, start: int, step: int, conn) -> None:
+    """Replicates start, start + step, ... of a scenario, sent over ``conn`` as rows or an exception."""
+    try:
+        result = [_replicate(scenario, rep) for rep in range(start, scenario.mc_reps, step)]
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
 def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     """Run all replicates of a scenario and aggregate the bias metrics.
 
-    ``workers`` distributes replicates across processes; the result is
+    ``workers`` processes share the replicates in interleaved shards: the
+    calling process computes replicates 0, W, 2W, ... and one child process
+    per further shard j computes j, j + W, ..., where W is ``workers``
+    capped at the replicate count.  Any exit, an exception or an interrupt
+    included, terminates and joins the children.  The result is
     bit-identical for any worker count.
     """
     reps = scenario.mc_reps
-    if workers > 1:
-        chunk = max(1, reps // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(_replicate, scenario), range(reps), chunksize=chunk))
-    else:
-        rows = [_replicate(scenario, rep) for rep in range(reps)]
+    shards = min(workers, reps)
+    children = []
+    try:
+        if shards > 1:
+            import multiprocessing
+
+            for j in range(1, shards):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_shard, args=(scenario, j, shards, sender),
+                                                daemon=True)
+                child.start()
+                children.append((child, receiver))
+                sender.close()
+        rows = [None] * reps
+        rows[::shards] = [_replicate(scenario, rep) for rep in range(0, reps, shards)]
+        for j, (child, receiver) in enumerate(children, 1):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"bias-study worker {j} exited with code {child.exitcode} before sending its replicates"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            rows[j::shards] = result
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.terminate()
+            child.join()
 
     columns = list(zip(*rows))
     means = [math.fsum(col) / reps for col in columns[:4]]

@@ -12,6 +12,7 @@ produce the single additive-model odds ratio with a Wald interval.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -250,6 +251,7 @@ def _logistic(eta: float) -> float:
 def _score_and_information(groups, b0: float, b1: float, iteration: int):
     """Score (s0, s1), information (i00, i01, i11) and its determinant at (b0, b1)."""
     s0 = s1 = i00 = i01 = i11 = 0.0
+    weights = []
     for present, total, x in groups:
         p = _logistic(b0 + x * b1)
         residual = present - total * p
@@ -259,9 +261,12 @@ def _score_and_information(groups, b0: float, b1: float, iteration: int):
         i00 += w
         i01 += x * w
         i11 += x * (x * w)
+        weights.append((w, x))
     if not (math.isfinite(i00) and math.isfinite(i01) and math.isfinite(i11)):
         raise SeparationError(f"information matrix not finite after {iteration} iterations")
-    det = i00 * i11 - i01 * i01
+    # Cauchy-Binet: i00*i11 - i01^2 as a sum of nonnegative terms, which cannot
+    # cancel when one group outweighs the others by many orders of magnitude
+    det = sum(wi * wj * (xi - xj) ** 2 for (wi, xi), (wj, xj) in itertools.combinations(weights, 2))
     if det == 0:
         raise SeparationError(f"singular information matrix at iteration {iteration}")
     return s0, s1, i00, i01, i11, det
@@ -275,21 +280,22 @@ def _logistic_fit(groups) -> tuple[float, float, int]:
     at the fit) and the number of Newton steps taken.
     """
     b0 = b1 = 0.0
-    trail = []
     for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
         s0, s1, i00, i01, i11, det = _score_and_information(groups, b0, b1, iteration)
         step0 = (i11 * s0 - i01 * s1) / det
         step1 = (i00 * s1 - i01 * s0) / det
         b0 += step0
         b1 += step1
-        trail.append((iteration, b0, b1, max(abs(s0), abs(s1))))
         # a log-OR this size only arises when the likelihood has no maximum
         if abs(b1) > 20.0:
             raise SeparationError(f"slope diverging (b1={b1:.3g}) after {iteration} iterations")
         if (abs(s0) < 1e-10 and abs(s1) < 1e-10) or (abs(step0) < 1e-10 and abs(step1) < 1e-10):
             _, _, i00, _, _, det = _score_and_information(groups, b0, b1, iteration)
             return b1, i00 / det, iteration
-    raise ConvergenceError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations; trail={trail}")
+    raise ConvergenceError(
+        f"no convergence in {MAX_NEWTON_ITERATIONS} iterations: last b0={b0:.6g}, b1={b1:.6g}, "
+        f"max |score|={max(abs(s0), abs(s1)):.3g}"
+    )
 
 
 def combined_or(merged: MergedTable) -> CombinedOR:

@@ -2,6 +2,13 @@
 
 import itertools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +28,10 @@ from addmeta.bias_study import (
 from addmeta.effects import StudySummary, crude_effect, effect_from_d
 from addmeta.pooling import pool_random_effects
 from addmeta.simulate import DegenerateSampleError, SimConfig, _Design, sim_effect
+
+# tests that patch the library for the child processes: only a forked child inherits a patch
+forked_children = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                     reason="children inherit the test's patches only when forked")
 
 # a fixed stream key per density: str hashes are salted per process
 DENSITY_KEYS = {"f1": 1, "f2": 2, "f3": 3, "f4": 4}
@@ -240,10 +251,103 @@ class TestRunScenario:
         assert report.retries == 1
         assert math.isfinite(report.bias_gwm_sim)
 
-    def test_bit_identical_across_worker_counts(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_bit_identical_across_worker_counts(self, workers, monkeypatch):
+        started = []
+        start = multiprocessing.Process.start
+
+        def counting_start(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
         serial = run_scenario(SMALL)
-        parallel = run_scenario(SMALL, workers=2)
+        parallel = run_scenario(SMALL, workers=workers)
         assert parallel == serial
+        # the calling process computes one shard; no more shards than replicates
+        # (one worker starts no process)
+        assert len(started) == min(workers, SMALL.mc_reps) - 1
+        assert multiprocessing.active_children() == []
+
+    def test_failing_replicates_raise_the_serial_error(self, monkeypatch):
+        def degenerate(summary, config):
+            raise DegenerateSampleError("injected")
+
+        monkeypatch.setattr(bias_study, "sim_effect", degenerate)
+        with pytest.raises(DegenerateSampleError) as serial:
+            run_scenario(SMALL)
+        with pytest.raises(DegenerateSampleError) as parallel:
+            run_scenario(SMALL, workers=3)
+        assert str(parallel.value) == str(serial.value)
+        assert multiprocessing.active_children() == []
+
+    @forked_children
+    def test_child_exception_is_raised_with_its_type_and_message(self, monkeypatch):
+        parent = os.getpid()
+        sim_effect = bias_study.sim_effect
+
+        def degenerate_in_children(summary, config):
+            if os.getpid() != parent:
+                raise DegenerateSampleError("injected")
+            return sim_effect(summary, config)
+
+        monkeypatch.setattr(bias_study, "sim_effect", degenerate_in_children)
+        # shard 1 of 2 starts at replicate 1
+        with pytest.raises(DegenerateSampleError, match="^replicate 1 of scenario .* degenerate after 32"):
+            run_scenario(SMALL, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @forked_children
+    def test_child_that_dies_without_sending_raises(self, monkeypatch):
+        parent = os.getpid()
+        replicate = bias_study._replicate
+
+        def dying_in_children(scenario, rep):
+            if os.getpid() != parent:
+                os._exit(3)
+            return replicate(scenario, rep)
+
+        monkeypatch.setattr(bias_study, "_replicate", dying_in_children)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_scenario(SMALL, workers=3)
+        assert multiprocessing.active_children() == []
+
+    @forked_children
+    def test_interrupt_in_the_calling_process_stops_the_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(scenario, rep):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child still at work
+
+        monkeypatch.setattr(bias_study, "_replicate", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(SMALL, workers=3)
+        assert time.perf_counter() - start < 20
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_children_match_the_serial_report(self, tmp_path):
+        # spawn (macOS, Windows) and forkserver (Linux from Python 3.14) import
+        # the child's target and unpickle its arguments
+        script = tmp_path / "spawned.py"
+        script.write_text(textwrap.dedent("""
+            import multiprocessing
+            from addmeta.bias_study import Scenario, run_scenario
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn")
+                scenario = Scenario(density="f3", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
+                                    n_triplet=(10, 15, 5), mc_reps=5, inner_iterations=40, seed=8)
+                assert run_scenario(scenario, workers=2) == run_scenario(scenario)
+                assert multiprocessing.active_children() == []
+        """))
+        src = str(Path(bias_study.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_bias_aggregation_is_order_invariant(self):
         # mean |g_true - g_est| and the pooled difference ignore study order

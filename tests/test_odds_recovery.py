@@ -1,6 +1,7 @@
 """2x2 table recovery, pairing/merge, and the logistic recombination."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from addmeta.odds_recovery import (
     ORRecord,
     SeparationError,
     _logistic,
+    _score_and_information,
     combine_reported_ors,
     combined_or,
     recover_tables,
@@ -368,6 +370,30 @@ class TestScalarFit:
         # there, the fit stops, and the slope's SE is about 1.7e5
         with pytest.raises(SeparationError, match="no finite Wald interval"):
             combined_or(merged_table((2, 66589981), (0, 1), (0, 375301268)))
+
+    def test_convergence_error_is_one_short_line(self):
+        # a well-posed table whose score rounds to about 1e-7, above the 1e-10 rule
+        with pytest.raises(ConvergenceError) as failure:
+            combined_or(merged_table((990347765, 445), (230, 489), (152319088, 178426492)))
+        message = str(failure.value)
+        assert len(message) < 300 and "\n" not in message
+        assert f"{MAX_NEWTON_ITERATIONS} iterations" in message
+
+    @pytest.mark.parametrize("b0, b1", [(0.0, 0.0), (-0.35, -0.1), (-0.4, 0.3), (2.0, -1.5)])
+    def test_variance_matches_exact_arithmetic_at_a_lopsided_table(self, b0, b1):
+        # one group near 1e9 subjects and two in single digits: i00*i11 - i01^2
+        # loses about half its digits here
+        groups = [(412_345_678.0, 999_999_937.0, 1.0), (3.0, 7.0, 2.0), (2.0, 5.0, 3.0)]
+        _, _, i00, _, _, det = _score_and_information(groups, b0, b1, 1)
+        info = {(0, 0): Fraction(0), (0, 1): Fraction(0), (1, 1): Fraction(0)}
+        for _, total, x in groups:
+            p = Fraction(_logistic(b0 + x * b1))
+            w = Fraction(total) * p * (1 - p)
+            info[0, 0] += w
+            info[0, 1] += w * Fraction(x)
+            info[1, 1] += w * Fraction(x) ** 2
+        exact = info[0, 0] / (info[0, 0] * info[1, 1] - info[0, 1] ** 2)
+        assert math.isclose(i00 / det, float(exact), rel_tol=1e-12)
 
     @pytest.mark.parametrize("eta", [745.0, 746.0, 1e4, 1e308, math.inf])
     def test_logistic_saturates_without_overflow(self, eta):
