@@ -33,10 +33,8 @@ from .pooling import MetaResult, pool_random_effects
 from .simulate import (
     SimConfig,
     SimDraw,
-    SimStats,
     additive_regression,
     sim_effect,
-    simulate_study,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "Scenario",
     "SimConfig",
     "SimDraw",
-    "SimStats",
     "StudySummary",
     "additive_regression",
     "cohens_d_variance",
@@ -72,5 +69,4 @@ __all__ = [
     "se_from_ci",
     "select_pairing",
     "sim_effect",
-    "simulate_study",
 ]

@@ -283,13 +283,23 @@ def _replicate(scenario: Scenario, rep: int):
     )
 
 
-def _shard(scenario: Scenario, start: int, step: int, conn) -> None:
-    """Replicates start, start + step, ... of a scenario, sent over ``conn`` as rows or an exception."""
-    try:
-        result = [_replicate(scenario, rep) for rep in range(start, scenario.mc_reps, step)]
-    except Exception as exc:
-        result = exc
-    conn.send(result)
+def _shard(scenario: Scenario, start: int, step: int):
+    """Replicates start, start + step, ... of a scenario, up to the first that fails.
+
+    Returns ``(rows, failure)``: ``failure`` is None, or the failing
+    ``(replicate, exception)`` and ``rows`` holds the replicates before it.
+    """
+    rows = []
+    for rep in range(start, scenario.mc_reps, step):
+        try:
+            rows.append(_replicate(scenario, rep))
+        except Exception as exc:
+            return rows, (rep, exc)
+    return rows, None
+
+
+def _send_shard(scenario: Scenario, start: int, step: int, conn) -> None:
+    conn.send(_shard(scenario, start, step))
     conn.close()
 
 
@@ -299,9 +309,10 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     ``workers`` processes share the replicates in interleaved shards: the
     calling process computes replicates 0, W, 2W, ... and one child process
     per further shard j computes j, j + W, ..., where W is ``workers``
-    capped at the replicate count.  Any exit, an exception or an interrupt
-    included, terminates and joins the children.  The result is
-    bit-identical for any worker count.
+    capped at the replicate count.  Once every shard has reported, a failing
+    run raises the exception of its lowest failing replicate.  Any exit, an
+    exception or an interrupt included, terminates and joins the children.
+    The result, or the error raised, is the same for any worker count.
     """
     reps = scenario.mc_reps
     shards = min(workers, reps)
@@ -312,30 +323,32 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
 
             for j in range(1, shards):
                 receiver, sender = multiprocessing.Pipe(duplex=False)
-                child = multiprocessing.Process(target=_shard, args=(scenario, j, shards, sender),
+                child = multiprocessing.Process(target=_send_shard, args=(scenario, j, shards, sender),
                                                 daemon=True)
                 child.start()
                 children.append((child, receiver))
                 sender.close()
-        rows = [None] * reps
-        rows[::shards] = [_replicate(scenario, rep) for rep in range(0, reps, shards)]
+        results = [_shard(scenario, 0, shards)]
         for j, (child, receiver) in enumerate(children, 1):
             try:
-                result = receiver.recv()
+                results.append(receiver.recv())
             except EOFError:
                 child.join()
                 raise RuntimeError(
                     f"bias-study worker {j} exited with code {child.exitcode} before sending its replicates"
                 ) from None
-            if isinstance(result, Exception):
-                raise result
-            rows[j::shards] = result
     finally:
         for child, receiver in children:
             receiver.close()
             child.terminate()
             child.join()
 
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]  # the lowest failing replicate
+    rows = [None] * reps
+    for j, (shard_rows, _) in enumerate(results):
+        rows[j::shards] = shard_rows
     columns = list(zip(*rows))
     means = [math.fsum(col) / reps for col in columns[:4]]
     ses = [math.sqrt(math.fsum((x - mean) ** 2 for x in col) / (reps - 1) / reps)

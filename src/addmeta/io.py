@@ -44,7 +44,8 @@ def fmt(value: float, precision: int = DEFAULT_PRECISION) -> str:
 def _float(row, field: str) -> float:
     text = row[field]
     try:
-        value = float(text)
+        # a JSON true or false is a bool, which float() would read as 1 or 0
+        value = math.nan if isinstance(text, bool) else float(text)
     except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
@@ -53,6 +54,9 @@ def _float(row, field: str) -> float:
 
 
 def _int(row, field: str) -> int:
+    value = row[field]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # a JSON integer, exactly: float() rounds it above 2**53
     value = _float(row, field)
     if not value.is_integer():
         raise ValueError(f"{field}: expected an integer, got {row[field]!r}")

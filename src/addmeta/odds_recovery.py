@@ -253,9 +253,12 @@ def _score_and_information(groups, b0: float, b1: float, iteration: int):
     s0 = s1 = i00 = i01 = i11 = 0.0
     weights = []
     for present, total, x in groups:
-        p = _logistic(b0 + x * b1)
-        residual = present - total * p
-        w = total * p * (1.0 - p)
+        eta = b0 + x * b1
+        p, q = _logistic(eta), _logistic(-eta)
+        # the residual from the smaller tail: total*p of about 1e9 would leave it
+        # the rounding error of the larger count, far above the stopping rule
+        residual = present - total * p if p <= 0.5 else total * q - (total - present)
+        w = total * p * q
         s0 += residual
         s1 += x * residual
         i00 += w

@@ -66,17 +66,6 @@ class SimDraw:
     d: float
 
 
-@dataclass(frozen=True)
-class SimStats:
-    """Iteration averages (and the empirical standard error of mean d)."""
-
-    beta_mean: float
-    sd_beta_mean: float
-    d_mean: float
-    d_se: float
-    iterations: int
-
-
 class _Design:
     """N, slope weights and curvature scale of the additive fit for fixed group sizes."""
 
@@ -156,26 +145,6 @@ def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.nda
     return betas, sds, betas / sds
 
 
-def simulate_study(summary: StudySummary, config: SimConfig = SimConfig()) -> SimStats:
-    """Run the iterations and return their averages.
-
-    Deterministic for a given (summary, seed, iterations).
-    """
-    betas, sds, ds = _draws(summary, config)
-    n_iter = config.iterations
-    # ndarray.sum and a division give numpy's mean() and std(ddof=1) bit for bit, minus their wrappers
-    d_mean = float(ds.sum()) / n_iter
-    ds -= d_mean
-    ds *= ds
-    return SimStats(
-        beta_mean=float(betas.sum()) / n_iter,
-        sd_beta_mean=float(sds.sum()) / n_iter,
-        d_mean=d_mean,
-        d_se=math.sqrt(float(ds.sum()) / (n_iter - 1)) / math.sqrt(n_iter),
-        iterations=n_iter,
-    )
-
-
 def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> AdditiveEffect:
     """Simulation-based additive effect for one study.
 
@@ -184,7 +153,14 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
     per-draw ratio (so ``d`` differs from ``beta/sd_beta`` by
     O(1/iterations)), and ``d_se`` is its Monte Carlo SE.  The pairwise g
     machinery is applied to the averaged d exactly as in the crude estimator.
+    Deterministic for a given (summary, seed, iterations).
     """
-    stats = simulate_study(summary, config)
-    return effect_from_d(summary.study_id, stats.beta_mean, stats.sd_beta_mean, stats.d_mean,
-                         summary.n, "simulation", stats.d_se)
+    betas, sds, ds = _draws(summary, config)
+    n_iter = config.iterations
+    # ndarray.sum and a division give numpy's mean() and std(ddof=1) bit for bit, minus their wrappers
+    d = float(ds.sum()) / n_iter
+    ds -= d
+    ds *= ds
+    d_se = math.sqrt(float(ds.sum()) / (n_iter - 1)) / math.sqrt(n_iter)
+    return effect_from_d(summary.study_id, float(betas.sum()) / n_iter, float(sds.sum()) / n_iter, d,
+                         summary.n, "simulation", d_se)

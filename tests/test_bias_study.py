@@ -282,6 +282,25 @@ class TestRunScenario:
         assert multiprocessing.active_children() == []
 
     @forked_children
+    def test_error_names_the_lowest_failing_replicate_at_any_worker_count(self, monkeypatch):
+        replicate = bias_study._replicate
+
+        def failing_at_1_and_2(scenario, rep):
+            if rep in (1, 2):
+                raise DegenerateSampleError(f"replicate {rep} injected")
+            return replicate(scenario, rep)
+
+        monkeypatch.setattr(bias_study, "_replicate", failing_at_1_and_2)
+        messages = []
+        for workers in (1, 2, 3):
+            with pytest.raises(DegenerateSampleError) as failure:
+                run_scenario(SMALL, workers=workers)
+            messages.append(str(failure.value))
+            assert multiprocessing.active_children() == []
+        # two workers split the failures across shards: 0, 2, 4 and 1, 3, 5
+        assert messages == ["replicate 1 injected"] * 3
+
+    @forked_children
     def test_child_exception_is_raised_with_its_type_and_message(self, monkeypatch):
         parent = os.getpid()
         sim_effect = bias_study.sim_effect

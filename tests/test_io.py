@@ -164,6 +164,8 @@ SCENARIO = ('{"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 5.0,
     ('"mc_reps": 2, "L": 1e400', "L"),
     ('"mc_reps": 2, "seed": -1', "seed"),
     ('"mc_reps": 2, "truncation": "none"', "truncation"),
+    ('"mc_reps": 2, "seed": true', "seed"),
+    ('"mc_reps": 2, "sigma_ws": true', "sigma_ws"),
 ])
 def test_invalid_scenario_numbers_exit_1_with_path_and_key(setting, key, tmp_path, capsys):
     config = tmp_path / "scenario.json"
@@ -172,6 +174,15 @@ def test_invalid_scenario_numbers_exit_1_with_path_and_key(setting, key, tmp_pat
     err = capsys.readouterr().err
     assert f"{config}: {key}" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_seed_above_two_to_the_53_reaches_the_csv_unchanged(tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(SCENARIO + '"mc_reps": 2}')
+    out = tmp_path / "bias.csv"
+    assert main(["mc", str(config), "--seed", "9007199254740993", "-o", str(out)]) == 0
+    with out.open(newline="") as handle:
+        assert [row["seed"] for row in csv.DictReader(handle)] == ["9007199254740993"]
 
 
 def test_one_replicate_from_the_command_line_is_refused(tmp_path, capsys):

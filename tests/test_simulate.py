@@ -16,7 +16,6 @@ from addmeta.simulate import (
     additive_fit_rows,
     additive_regression,
     sim_effect,
-    simulate_study,
 )
 
 ZHH = StudySummary("ZHH-FE", (3.24, 2.44, 3.64), (2.11, 1.23, 2.42), (25, 24, 21))
@@ -133,7 +132,7 @@ def test_one_degenerate_study_in_the_stack_raises(slope):
         additive_fit_rows(blocks)
 
 
-def simulate_study_once(summary, rng):
+def draw_and_fit_once(summary, rng):
     """Reference sampler: draw every subject of one dataset and fit it."""
     groups = [rng.normal(summary.m[k], summary.sd[k], size=summary.n[k]) for k in range(3)]
     return additive_regression(groups)
@@ -142,25 +141,25 @@ def simulate_study_once(summary, rng):
 class TestSimulateStudy:
     def test_null_effect_mean_d_near_zero(self):
         summary = StudySummary("null", (5, 5, 5), (1, 1, 1), (30, 30, 30))
-        stats = simulate_study(summary, SimConfig(iterations=10_000, seed=2))
-        assert abs(stats.d_mean) < 0.01
+        effect = sim_effect(summary, SimConfig(iterations=10_000, seed=2))
+        assert abs(effect.d) < 0.01
 
     def test_golden_stats_replay(self):
-        stats = simulate_study(ZHH, SimConfig(iterations=500, seed=99))
-        assert stats.beta_mean == pytest.approx(0.13593338259620433, rel=1e-12)
-        assert stats.sd_beta_mean == pytest.approx(2.016476851558082, rel=1e-12)
-        assert stats.d_mean == pytest.approx(0.06784171866192278, rel=1e-12)
-        assert stats.d_se == pytest.approx(0.00789229244491148, rel=1e-12)
+        effect = sim_effect(ZHH, SimConfig(iterations=500, seed=99))
+        assert effect.beta == pytest.approx(0.13593338259620433, rel=1e-12)
+        assert effect.sd_beta == pytest.approx(2.016476851558082, rel=1e-12)
+        assert effect.d == pytest.approx(0.06784171866192278, rel=1e-12)
+        assert effect.d_se == pytest.approx(0.00789229244491148, rel=1e-12)
 
     def test_noise_free_limit_recovers_slope(self):
         summary = StudySummary("limit", (4, 5.5, 7), (1e-8, 1e-8, 1e-8), (20, 20, 20))
-        stats = simulate_study(summary, SimConfig(iterations=100, seed=0))
-        assert stats.beta_mean == pytest.approx(1.5, abs=1e-3)
+        effect = sim_effect(summary, SimConfig(iterations=100, seed=0))
+        assert effect.beta == pytest.approx(1.5, abs=1e-3)
 
     def test_mc_convergence_rate(self):
         # doubling iterations should shrink the empirical SE of mean d by ~sqrt(2)
         summary = StudySummary("conv", (4, 5.5, 7), (2, 2, 2), (30, 30, 30))
-        ses = [simulate_study(summary, SimConfig(iterations=n, seed=5)).d_se
+        ses = [sim_effect(summary, SimConfig(iterations=n, seed=5)).d_se
                for n in (2500, 5000, 10_000)]
         assert 1.25 <= ses[0] / ses[1] <= 1.6
         assert 1.25 <= ses[1] / ses[2] <= 1.6
@@ -193,20 +192,20 @@ def noncentral_t_mean_d(beta, sigma, n):
 def test_iteration_reductions_equal_numpy_mean_and_std(m, sd, n, iterations, seed):
     summary, config = StudySummary("s", m, sd, n), SimConfig(iterations=iterations, seed=seed)
     betas, sds, ds = _draws(summary, config)
-    stats = simulate_study(summary, config)
-    assert stats.beta_mean == float(betas.mean())
-    assert stats.sd_beta_mean == float(sds.mean())
-    assert stats.d_mean == float(ds.mean())
-    assert stats.d_se == float(ds.std(ddof=1)) / math.sqrt(iterations)
+    effect = sim_effect(summary, config)
+    assert effect.beta == float(betas.mean())
+    assert effect.sd_beta == float(sds.mean())
+    assert effect.d == float(ds.mean())
+    assert effect.d_se == float(ds.std(ddof=1)) / math.sqrt(iterations)
 
 
 class TestNoncentralTOracle:
     @pytest.mark.parametrize("n", [(10, 15, 5), (35, 45, 30), (300, 400, 240)])
     def test_mean_d_matches_exact_mean(self, n):
         summary = StudySummary("oracle", (4.0, 5.5, 7.0), (2.0, 2.0, 2.0), n)
-        stats = simulate_study(summary, SimConfig(iterations=50_000, seed=61))
+        effect = sim_effect(summary, SimConfig(iterations=50_000, seed=61))
         expected = noncentral_t_mean_d(1.5, 2.0, n)
-        assert abs(stats.d_mean - expected) < 4 * stats.d_se
+        assert abs(effect.d - expected) < 4 * effect.d_se
 
 
 def _moments(x):
@@ -230,7 +229,7 @@ class TestReferenceEquivalence:
     def test_per_draw_moments_agree(self, summary):
         draws = 4000
         rng = np.random.default_rng(2718)
-        reference = [simulate_study_once(summary, rng) for _ in range(draws)]
+        reference = [draw_and_fit_once(summary, rng) for _ in range(draws)]
         fast = _draws(summary, SimConfig(iterations=draws, seed=2719))
         for name, ref, new in zip(("beta", "sd", "d"), zip(*((r.beta, r.sd, r.d) for r in reference)), fast):
             ref_mean, ref_mean_se, ref_sd, ref_sd_se = _moments(np.array(ref))
