@@ -32,7 +32,6 @@ from .odds_recovery import (
 from .pooling import MetaResult, pool_random_effects
 from .simulate import (
     SimConfig,
-    SimDraw,
     additive_regression,
     sim_effect,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ORRecord",
     "Scenario",
     "SimConfig",
-    "SimDraw",
     "StudySummary",
     "additive_regression",
     "cohens_d_variance",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .simulate import (
     additive_fit_rows,
     sim_effect,
 )
-
-Truncation = Literal["paper", "per-group"]
 
 # Scenario grid.
 STUDY_COUNTS = (5, 10, 15)
@@ -143,23 +141,21 @@ def perturb_study_params(
     sigma_ws: float,
     n_studies: int,
     rng: np.random.Generator,
-    truncation: Truncation = "paper",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw every study's group means and SDs around the scenario anchors.
 
     Returns ``(means, sds)``, two (3, n_studies) arrays whose row k holds
     group k.  Group means are N(mean_vec[k], PERTURB_SD) and within-study SDs
-    are N(sigma_ws, PERTURB_SD).  Negative mean draws are replaced by
-    mean_vec[0] under ``truncation="paper"`` (the reference protocol applies
-    the first anchor to every group) or by the group's own anchor under
-    ``"per-group"``.  Nonpositive SD draws are replaced by sigma_ws.
+    are N(sigma_ws, PERTURB_SD).  A negative mean draw in any group is
+    replaced by mean_vec[0], as in the reference protocol; a nonpositive SD
+    draw is replaced by sigma_ws.
     """
     if n_studies < 1:
         raise ValueError(f"n_studies must be >= 1, got {n_studies}")
     anchors = np.asarray(mean_vec, dtype=float)[:, None]
     means = rng.normal(anchors, PERTURB_SD, (3, n_studies))
     sds = rng.normal(sigma_ws, PERTURB_SD, (3, n_studies))
-    means = np.where(means < 0, anchors[0] if truncation == "paper" else anchors, means)
+    means = np.where(means < 0, anchors[0], means)
     sds[sds <= 0] = sigma_ws
     return means, sds
 
@@ -176,7 +172,6 @@ class Scenario:
     mc_reps: int = DEFAULT_REPLICATES
     inner_iterations: int = DEFAULT_INNER_ITERATIONS
     seed: int = DEFAULT_SEED
-    truncation: Truncation = "paper"
 
     def __post_init__(self):
         if self.density not in DENSITIES:
@@ -200,8 +195,6 @@ class Scenario:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.truncation not in ("paper", "per-group"):
-            raise ValueError(f"truncation must be 'paper' or 'per-group', got {self.truncation!r}")
 
 
 def full_grid(**fields) -> list[Scenario]:
@@ -248,7 +241,7 @@ def _replicate(scenario: Scenario, rep: int):
         try:
             rng_params = substream(scenario.seed, MC_PARAMS, rep, attempt)
             means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws,
-                                              scenario.n_studies, rng_params, scenario.truncation)
+                                              scenario.n_studies, rng_params)
             blocks = [np.empty((scenario.n_studies, n_k)) for n_k in n_triplet]
             studies = list(zip(means.T.tolist(), sds.T.tolist()))
             for i, (m, sd) in enumerate(studies):

@@ -73,14 +73,17 @@ def _cmd_effect(args) -> None:
 
 
 def _cmd_meta(args) -> None:
-    result = pool_random_effects([(g, v) for _, g, v in io.read_effects(args.input)])
+    effects = io.read_effects(args.input)
+    try:
+        result = pool_random_effects([(g, v) for _, g, v in effects])
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from exc
     io.write_meta_result(args.output, result, args.precision)
 
 
 def _cmd_mc(args) -> None:
     # the flags given replace the config's values (or the grid's defaults); Scenario checks them
-    given = {"mc_reps": args.reps, "inner_iterations": args.inner_iterations,
-             "seed": args.seed, "truncation": args.truncation}
+    given = {"mc_reps": args.reps, "inner_iterations": args.inner_iterations, "seed": args.seed}
     overrides = {key: value for key, value in given.items() if value is not None}
     if args.full_grid == (args.input is not None):
         raise ValueError("give a scenario config file or --full-grid, not both")
@@ -142,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--inner-iterations", type=int, default=None,
                       help="override simulation iterations per study")
     p_mc.add_argument("--seed", type=_non_negative_int, default=None)
-    p_mc.add_argument("--truncation", choices=["paper", "per-group"], default=None)
     p_mc.add_argument("--full-grid", action="store_true",
                       help="run every scenario cell instead of a single config")
     p_mc.add_argument("--workers", type=_positive_int, default=1,

@@ -24,6 +24,7 @@ standard deviations are heterogeneous.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -51,8 +52,9 @@ class StudySummary:
         object.__setattr__(self, "sd", tuple(float(x) for x in self.sd))
         if not all(math.isfinite(x) for x in self.m + self.sd):
             raise ValueError(f"{self.study_id}: means and SDs must be finite, got {self.m}, {self.sd}")
-        if any(s <= 0 for s in self.sd):
-            raise ValueError(f"{self.study_id}: all standard deviations must be > 0, got {self.sd}")
+        if not all(s > 0 and sys.float_info.min <= s * s < math.inf for s in self.sd):
+            raise ValueError(f"{self.study_id}: all standard deviations must be > 0, between about "
+                             f"1.5e-154 and 1.3e154 so that their squares are normal floats, got {self.sd}")
         n = tuple(int(x) for x in self.n)
         if any(k != float(orig) for k, orig in zip(n, self.n)):
             raise ValueError(f"{self.study_id}: sample sizes must be integers, got {self.n}")
@@ -174,6 +176,10 @@ def effect_from_d(
     d_se: float | None = None,
 ) -> AdditiveEffect:
     """Assemble an AdditiveEffect from a combined d and the group sizes (see ``pairwise_g``)."""
+    # d * d is a term of d's variance; an inf or nan would reach g and v_g
+    if not (math.isfinite(beta) and math.isfinite(sd_beta) and math.isfinite(d * d)):
+        raise ValueError(f"{study_id}: the additive effect leaves the floating-point range: "
+                         f"beta {beta!r}, sd_beta {sd_beta!r}, d {d!r}")
     g, v_g = pairwise_g(d, n)
     return AdditiveEffect(study_id, beta, sd_beta, d, g, v_g, method, d_se)
 

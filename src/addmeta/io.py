@@ -226,16 +226,13 @@ def read_scenario(path, **overrides) -> Scenario:
     """Load a Scenario from a JSON key-value config file.
 
     The study count is keyed ``L``.  ``overrides`` (``mc_reps``,
-    ``inner_iterations``, ``seed``, ``truncation``) replace the file's values.
+    ``inner_iterations``, ``seed``) replace the file's values.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object of scenario settings")
-    known = {
-        "density", "L", "mean_vec", "sigma_ws", "n_triplet",
-        "mc_reps", "inner_iterations", "seed", "truncation",
-    }
+    known = {"density", "L", "mean_vec", "sigma_ws", "n_triplet", "mc_reps", "inner_iterations", "seed"}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys {sorted(unknown)}")
@@ -249,8 +246,6 @@ def read_scenario(path, **overrides) -> Scenario:
     try:
         # an optional key left out takes the Scenario default
         optional = {key: _int(data, key) for key in ("mc_reps", "inner_iterations", "seed") if key in data}
-        if "truncation" in data:
-            optional["truncation"] = data["truncation"]
         return Scenario(
             density=data["density"],
             n_studies=_int(data, "L"),
@@ -277,7 +272,7 @@ def write_bias_reports(path, reports: Iterable[BiasReport], precision: int = DEF
             + [fmt(v, precision) for v in s.mean_vec]
             + list(s.n_triplet)
             + [fmt(v, precision) for v in biases]
-            + [s.mc_reps, s.inner_iterations, s.seed, s.truncation, rep.retries]
+            + [s.mc_reps, s.inner_iterations, s.seed, "paper", rep.retries]
         )
 
     _write_csv(path, BIAS_FIELDS, [row(rep) for rep in reports])

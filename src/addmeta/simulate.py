@@ -57,15 +57,6 @@ class SimConfig:
             raise ValueError(f"iterations must be >= 2 for a Monte Carlo SE, got {self.iterations}")
 
 
-@dataclass(frozen=True)
-class SimDraw:
-    """Additive fit of one drawn dataset: slope, residual sd, their ratio."""
-
-    beta: float
-    sd: float
-    d: float
-
-
 class _Design:
     """N, slope weights and curvature scale of the additive fit for fixed group sizes."""
 
@@ -104,14 +95,14 @@ def additive_fit_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     return beta, sd, beta / sd
 
 
-def additive_regression(groups: Sequence[np.ndarray]) -> SimDraw:
+def additive_regression(groups: Sequence[np.ndarray]) -> tuple[float, float, float]:
     """Fit the additive model to one individual-level dataset.
 
-    ``groups`` holds the three per-group phenotype vectors; this is
-    ``additive_fit_rows`` on a stack of one.
+    ``groups`` holds the three groups' phenotype vectors; returns the slope,
+    residual sd and d of ``additive_fit_rows`` on a stack of one, as floats.
     """
     beta, sd, d = additive_fit_rows([np.asarray(g, dtype=float)[None, :] for g in groups])
-    return SimDraw(beta=float(beta[0]), sd=float(sd[0]), d=float(d[0]))
+    return float(beta[0]), float(sd[0]), float(d[0])
 
 
 def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,14 +144,21 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
     per-draw ratio (so ``d`` differs from ``beta/sd_beta`` by
     O(1/iterations)), and ``d_se`` is its Monte Carlo SE.  The pairwise g
     machinery is applied to the averaged d exactly as in the crude estimator.
-    Deterministic for a given (summary, seed, iterations).
+    Deterministic for a given (summary, seed, iterations).  Raises
+    ``ValueError`` if a draw or an average leaves the floating-point range.
     """
-    betas, sds, ds = _draws(summary, config)
     n_iter = config.iterations
-    # ndarray.sum and a division give numpy's mean() and std(ddof=1) bit for bit, minus their wrappers
-    d = float(ds.sum()) / n_iter
-    ds -= d
-    ds *= ds
-    d_se = math.sqrt(float(ds.sum()) / (n_iter - 1)) / math.sqrt(n_iter)
-    return effect_from_d(summary.study_id, float(betas.sum()) / n_iter, float(sds.sum()) / n_iter, d,
-                         summary.n, "simulation", d_se)
+    try:
+        # an overflow, a 0/0 or a zero slope SD raises here instead of writing inf or nan
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            betas, sds, ds = _draws(summary, config)
+            # ndarray.sum and a division give numpy's mean() and std(ddof=1) bit for bit, less wrappers
+            d = float(ds.sum()) / n_iter
+            ds -= d
+            ds *= ds
+            d_se = math.sqrt(float(ds.sum()) / (n_iter - 1)) / math.sqrt(n_iter)
+            return effect_from_d(summary.study_id, float(betas.sum()) / n_iter, float(sds.sum()) / n_iter,
+                                 d, summary.n, "simulation", d_se)
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        raise ValueError(f"{summary.study_id}: the simulated fits leave the floating-point range "
+                         f"({exc})") from None

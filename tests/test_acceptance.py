@@ -168,14 +168,14 @@ def test_criterion_5b_anova_denominator_identity():
     for _ in range(200):
         groups = [rng.normal(mu, rng.uniform(0.5, 4), size=int(rng.integers(3, 60)))
                   for mu in (4, 5.5, 9)]
-        draw = additive_regression(groups)
+        _, sd, _ = additive_regression(groups)
         # direct residual computation, no ANOVA table involved
         y = np.concatenate(groups)
         x = np.concatenate([np.full(len(g), c) for g, c in zip(groups, (1.0, 2.0, 3.0))])
         slope, intercept = np.polyfit(x, y, 1)
         rss = float(((y - intercept - slope * x) ** 2).sum())
         direct_sd = math.sqrt(rss / (len(y) - 2))
-        worst = max(worst, abs(draw.sd - direct_sd) / direct_sd)
+        worst = max(worst, abs(sd - direct_sd) / direct_sd)
     report("criterion 5b (ANOVA denominator identity sqrt(MSB/F) = residual SD)",
            worst < 1e-10, f"worst relative deviation {worst:.2e} over 200 draws")
 

@@ -163,14 +163,6 @@ class TestPerturbStudyParams:
         assert params[0][0] == (3.0, 5.0, 4.0)  # -1 replaced by mean_vec[0]
         assert params[1][0] == (3.5, 5.2, 8.8)
 
-    def test_per_group_truncation_uses_own_anchor(self):
-        fake = _FakeRng([
-            [[-1.0], [-1.0], [-1.0]],
-            [[1.0], [1.0], [1.0]],
-        ])
-        params = _columns(perturb_study_params((4, 5.5, 9), 1.0, 1, fake, truncation="per-group"))
-        assert params[0][0] == (4.0, 5.5, 9.0)
-
     def test_nonpositive_sd_replaced_by_sigma_ws(self):
         fake = _FakeRng([
             [[4.0], [5.5], [9.0]],
@@ -428,8 +420,7 @@ def _reference_replicate(scenario, rep):
     for attempt in range(bias_study.MAX_REPLICATE_RETRIES):
         try:
             means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, scenario.n_studies,
-                                              substream(scenario.seed, MC_PARAMS, rep, attempt),
-                                              scenario.truncation)
+                                              substream(scenario.seed, MC_PARAMS, rep, attempt))
             studies = []  # one (truth, crude, simulation) effect triple per study
             for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
                 rng_data = substream(scenario.seed, MC_DATA, rep, attempt, i)
@@ -460,11 +451,11 @@ def _reference_replicate(scenario, rep):
 
 
 class TestStackedReplicate:
-    @pytest.mark.parametrize("fid, truncation, n_triplet", itertools.product(
-        ["f1", "f2", "f3", "f4"], ["paper", "per-group"], [(10, 15, 5), (300, 400, 240)]))
-    def test_matches_per_study_reference_bit_for_bit(self, fid, truncation, n_triplet):
+    @pytest.mark.parametrize("fid, n_triplet", itertools.product(
+        ["f1", "f2", "f3", "f4"], [(10, 15, 5), (300, 400, 240)]))
+    def test_matches_per_study_reference_bit_for_bit(self, fid, n_triplet):
         scenario = Scenario(density=fid, n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
-                            n_triplet=n_triplet, inner_iterations=40, seed=23, truncation=truncation)
+                            n_triplet=n_triplet, inner_iterations=40, seed=23)
         for rep in range(2):
             assert _replicate(scenario, rep) == _reference_replicate(scenario, rep)
 

@@ -167,8 +167,9 @@ class TestWorkersOption:
          "--iterations: expected a number of iterations >= 2"),
         (["effect", "in.csv", "--iterations", "0", "-o", "out.csv"],
          "--iterations: expected a number of iterations >= 2"),
+        (["mc", "in.json", "--truncation", "paper", "-o", "out.csv"], "unrecognized arguments"),
     ], ids=["effect-zero", "mc-negative", "mc-not-a-number", "effect-seed-negative", "mc-seed-negative",
-            "effect-one-iteration", "effect-zero-iterations"])
+            "effect-one-iteration", "effect-zero-iterations", "mc-truncation-removed"])
     def test_invalid_flag_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -324,7 +325,7 @@ class TestMcCommand:
         assert multiprocessing.active_children() == []
 
     def test_full_grid_enumerates_every_cell(self):
-        scenarios = full_grid(mc_reps=2, inner_iterations=2, seed=0, truncation="paper")
+        scenarios = full_grid(mc_reps=2, inner_iterations=2, seed=0)
         assert len(scenarios) == 4 * 3 * 2 * 3 * 8
         assert len(set(scenarios)) == len(scenarios)
         # mc --full-grid writes rows in this nested-loop order
@@ -337,7 +338,7 @@ class TestMcCommand:
             for n_triplet in N_TRIPLETS
         ]
         assert [(s.density, s.n_studies, s.sigma_ws, s.mean_vec, s.n_triplet) for s in scenarios] == nested
-        assert {(s.mc_reps, s.inner_iterations, s.seed, s.truncation) for s in scenarios} == {(2, 2, 0, "paper")}
+        assert {(s.mc_reps, s.inner_iterations, s.seed) for s in scenarios} == {(2, 2, 0)}
 
     def test_scenario_study_count_is_keyed_l_only(self, tmp_path):
         from addmeta.io import read_scenario
@@ -349,6 +350,10 @@ class TestMcCommand:
         assert read_scenario(config).n_studies == 10
         config.write_text(json.dumps({**base, "n_studies": 15}))
         with pytest.raises(ValueError, match=r"unknown scenario keys \['n_studies'\]"):
+            read_scenario(config)
+        # the bias study has one negative-mean rule, so there is no truncation setting
+        config.write_text(json.dumps({**base, "L": 10, "truncation": "none"}))
+        with pytest.raises(ValueError, match=r"unknown scenario keys \['truncation'\]"):
             read_scenario(config)
         config.write_text(json.dumps({**base, "L": 10, "bogus": 1}))
         with pytest.raises(ValueError, match="unknown scenario keys"):
@@ -428,3 +433,43 @@ class TestOrCommand:
         assert err.startswith(f"error: {src}: study 'narrow': AB_vs_AA record: no real solution")
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ors.csv"]
+
+
+STUDY_HEADER = "study_id,m1,m2,m3,sd1,sd2,sd3,n1,n2,n3\n"
+SD_RANGE = "in.csv, row 2: A: all standard deviations must be > 0, between about 1.5e-154 and 1.3e154"
+
+
+class TestExtremeInputs:
+    """Values at the edges of the float range end in one error line, never a traceback or nan."""
+
+    @pytest.mark.parametrize("argv, name, text, message", [
+        (["effect"], "in.csv", STUDY_HEADER + "A,4,5.5,7,1e-200,1e-200,1e-200,10,15,5\n", SD_RANGE),
+        (["effect"], "in.csv", STUDY_HEADER + "A,4,5.5,7,1e200,1e200,1e200,10,15,5\n", SD_RANGE),
+        (["effect", "--method", "sim"], "in.csv",
+         STUDY_HEADER + "A,4,5.5,7,1e-200,1e-200,1e-200,10,15,5\n", SD_RANGE),
+        (["effect", "--method", "sim"], "in.csv",
+         STUDY_HEADER + "A,4,5.5,7,1e200,1e200,1e200,10,15,5\n", SD_RANGE),
+        (["effect"], "in.csv", STUDY_HEADER + "A,-1e300,0,1e300,1e-10,1e-10,1e-10,10,15,5\n",
+         "A: the additive effect leaves the floating-point range"),
+        (["effect", "--method", "sim"], "in.csv",
+         STUDY_HEADER + "A,-1e300,0,1e300,1e-10,1e-10,1e-10,10,15,5\n",
+         "A: the simulated fits leave the floating-point range"),
+        (["meta"], "e.csv", "study_id,g,v_g\nA,0.5,0.1\nB,0.3,1e-320\nC,0.2,0.05\n",
+         "e.csv: no finite pooled estimate of 3 effects"),
+        (["meta"], "e.csv", "study_id,g,v_g\nA,0.5,1e-308\nB,0.7,1e-308\n",
+         "e.csv: no finite pooled estimate of 2 effects"),
+        (["meta"], "e.csv", "study_id,g,v_g\nA,0.5,1e-160\nB,0.7,1e-160\n",
+         "e.csv: no finite pooled estimate of 2 effects"),
+        (["meta"], "e.csv", "study_id,g,v_g\nA,-1e300,1\nB,1e300,1\n",
+         "e.csv: no finite pooled estimate of 2 effects"),
+    ], ids=["crude-tiny-sd", "crude-huge-sd", "sim-tiny-sd", "sim-huge-sd", "crude-infinite-d",
+            "sim-infinite-d", "meta-subnormal-v", "meta-weight-sum-overflow", "meta-squared-weight-overflow",
+            "meta-q-overflow"])
+    def test_exits_1_with_one_error_line_and_no_output(self, argv, name, text, message, tmp_path, capsys):
+        src = tmp_path / name
+        src.write_text(text)
+        assert main([argv[0], str(src), *argv[1:], "-o", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert message in err and "nan" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]

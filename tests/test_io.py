@@ -145,7 +145,7 @@ def test_manifest_options_record_every_parsed_option(tmp_path):
     assert manifest["output"] == str(out)
     assert manifest["options"] == {
         "input": str(config), "full_grid": False, "reps": None, "inner_iterations": None,
-        "seed": 4, "truncation": None, "workers": 1, "precision": 6,
+        "seed": 4, "workers": 1, "precision": 6,
     }
 
 
@@ -163,7 +163,6 @@ SCENARIO = ('{"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 5.0,
     ('"mc_reps": 2, "n_triplet": [10, 15.5, 5]', "n_triplet[1]"),
     ('"mc_reps": 2, "L": 1e400', "L"),
     ('"mc_reps": 2, "seed": -1', "seed"),
-    ('"mc_reps": 2, "truncation": "none"', "truncation"),
     ('"mc_reps": 2, "seed": true', "seed"),
     ('"mc_reps": 2, "sigma_ws": true', "sigma_ws"),
 ])

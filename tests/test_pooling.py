@@ -112,3 +112,18 @@ def test_homogeneous_inputs_give_arithmetic_mean():
     result = pool_random_effects([(g, 0.05) for g in gs])
     # equal variances: tau2 shifts every weight equally, so the mean survives
     assert result.g_wm == pytest.approx(sum(gs) / len(gs), rel=1e-12)
+
+
+@given(st.lists(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    min_size=1, max_size=8,
+))
+@settings(max_examples=300, deadline=None)
+def test_extreme_inputs_pool_to_finite_fields_or_value_error(effects):
+    try:
+        result = pool_random_effects(effects)
+    except ValueError:
+        return
+    fields = (result.g_wm, result.v_wm, result.tau2, result.ci_lo, result.ci_hi, result.q, result.i2)
+    assert all(math.isfinite(x) for x in fields + result.weights)

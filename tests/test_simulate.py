@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addmeta._rng import SIM_DRAWS, substream
-from addmeta.effects import StudySummary, cohens_d_variance, hedges_j
+from addmeta.effects import AdditiveEffect, StudySummary, cohens_d_variance, crude_effect, hedges_j
 from addmeta.simulate import (
     DegenerateSampleError,
     SimConfig,
@@ -42,25 +42,25 @@ class TestAdditiveRegression:
         for _ in range(25):
             groups = [rng.normal(rng.uniform(-4, 4), rng.uniform(0.5, 3), size=rng.integers(3, 40))
                       for _ in range(3)]
-            draw = additive_regression(groups)
+            beta, _, _ = additive_regression(groups)
             slope, *_ = _literal_fit(groups)
-            assert draw.beta == pytest.approx(slope, rel=1e-10, abs=1e-10)
+            assert beta == pytest.approx(slope, rel=1e-10, abs=1e-10)
 
     def test_anova_denominator_identity(self):
         # sqrt(MS_between / F) must equal the residual SD of the additive fit
         rng = np.random.default_rng(304)
         for _ in range(25):
             groups = [rng.normal(mu, 1.7, size=n) for mu, n in zip((4, 5.5, 9), (12, 19, 8))]
-            draw = additive_regression(groups)
+            _, sd, _ = additive_regression(groups)
             _, ss_model, f_stat, rss, n = _literal_fit(groups)
-            assert draw.sd == pytest.approx(math.sqrt(ss_model / f_stat), rel=1e-10)
-            assert draw.sd == pytest.approx(math.sqrt(rss / (n - 2)), rel=1e-10)
+            assert sd == pytest.approx(math.sqrt(ss_model / f_stat), rel=1e-10)
+            assert sd == pytest.approx(math.sqrt(rss / (n - 2)), rel=1e-10)
 
     def test_d_is_ratio(self):
         rng = np.random.default_rng(305)
         groups = [rng.normal(0, 1, size=20) for _ in range(3)]
-        draw = additive_regression(groups)
-        assert draw.d == draw.beta / draw.sd
+        beta, sd, d = additive_regression(groups)
+        assert d == beta / sd
 
     def test_degenerate_sample_raises(self):
         groups = [np.full(5, 2.0), np.full(5, 2.0), np.full(5, 2.0)]
@@ -69,9 +69,9 @@ class TestAdditiveRegression:
 
     def test_constant_groups_on_a_line_are_fine(self):
         # zero within-group variance but nonzero lack of fit: sd > 0
-        draw = additive_regression([np.full(5, 1.0), np.full(5, 2.5), np.full(5, 3.0)])
-        assert draw.sd > 0
-        assert np.isfinite(draw.d)
+        _, sd, d = additive_regression([np.full(5, 1.0), np.full(5, 2.5), np.full(5, 3.0)])
+        assert sd > 0
+        assert np.isfinite(d)
 
 
 def _lstsq_fit(groups):
@@ -96,11 +96,11 @@ def test_contrast_fit_matches_least_squares(n, offset, slope, spreads, seed):
     rng = np.random.default_rng(seed)
     groups = [offset + slope * code + rng.normal(0.0, spread, size=k)
               for code, spread, k in zip((1, 2, 3), spreads, n)]
-    draw = additive_regression(groups)
+    fit_beta, fit_sd, _ = additive_regression(groups)
     beta, sd = _lstsq_fit(groups)
-    assert draw.sd == pytest.approx(sd, rel=1e-9)
+    assert fit_sd == pytest.approx(sd, rel=1e-9)
     # a fitted slope near zero is a difference of large terms: compare it in units of sd too
-    assert draw.beta == pytest.approx(beta, rel=1e-9, abs=1e-9 * sd)
+    assert fit_beta == pytest.approx(beta, rel=1e-9, abs=1e-9 * sd)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,8 +117,7 @@ def test_each_stacked_row_is_its_own_fit_bit_for_bit(n, studies, offset, spread,
               + rng.normal(0.0, spread, (studies, k)) for code, k in zip((1, 2, 3), n)]
     beta, sd, d = additive_fit_rows(blocks)
     for i in range(studies):
-        draw = additive_regression([block[i] for block in blocks])
-        assert (beta[i], sd[i], d[i]) == (draw.beta, draw.sd, draw.d)
+        assert (beta[i], sd[i], d[i]) == additive_regression([block[i] for block in blocks])
 
 
 @pytest.mark.parametrize("slope", [0.0, 1.5])
@@ -231,7 +230,7 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(2718)
         reference = [draw_and_fit_once(summary, rng) for _ in range(draws)]
         fast = _draws(summary, SimConfig(iterations=draws, seed=2719))
-        for name, ref, new in zip(("beta", "sd", "d"), zip(*((r.beta, r.sd, r.d) for r in reference)), fast):
+        for name, ref, new in zip(("beta", "sd", "d"), zip(*reference), fast):
             ref_mean, ref_mean_se, ref_sd, ref_sd_se = _moments(np.array(ref))
             new_mean, new_mean_se, new_sd, new_sd_se = _moments(new)
             assert abs(ref_mean - new_mean) < 4 * math.hypot(ref_mean_se, new_mean_se), name
@@ -329,3 +328,40 @@ class TestSimEffect:
         # one draw has no Monte Carlo SE for d_se
         with pytest.raises(ValueError, match="iterations must be >= 2 for a Monte Carlo SE"):
             SimConfig(iterations=1)
+
+
+def _log_uniform(low_exp: float, high_exp: float):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
+
+
+_magnitude = _log_uniform(-300, 300)
+_signed = st.tuples(st.sampled_from([-1.0, 1.0]), _magnitude).map(lambda t: t[0] * t[1])
+
+
+def _finite_or_refused(estimate):
+    """The effect from ``estimate()`` has only finite fields, unless it raised ValueError."""
+    try:
+        effect = estimate()
+    except ValueError:
+        return
+    assert isinstance(effect, AdditiveEffect)
+    fields = (effect.beta, effect.sd_beta, effect.d, effect.g, effect.v_g)
+    assert all(math.isfinite(x) for x in fields + ((effect.d_se,) if effect.d_se is not None else ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.tuples(_signed, _signed, _signed),
+    sd=st.tuples(_magnitude, _magnitude, _magnitude),
+    n=st.tuples(*[_log_uniform(math.log10(2), 9).map(round)] * 3),
+    iterations=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extreme_magnitudes_give_finite_effects_or_value_error(m, sd, n, iterations, seed):
+    try:
+        summary = StudySummary("extreme", m, sd, n)
+    except ValueError:
+        return
+    for standardizer in ("pair-mean", "pooled"):
+        _finite_or_refused(lambda: crude_effect(summary, standardizer=standardizer))
+    _finite_or_refused(lambda: sim_effect(summary, SimConfig(iterations=iterations, seed=seed)))
