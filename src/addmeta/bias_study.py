@@ -8,14 +8,14 @@ The protocol, per replicate of a scenario:
 2. draw original individual data for each study from a shape density
    (normal, strongly right-skewed, asymmetric bimodal, or kurtotic normal
    mixture), affinely standardized so each group matches its drawn mean/SD;
-3. fit the additive regression to the original data ("true" per-study g)
-   and pool across studies for the true g-WM; each study draws its data
-   from its own substream into row i of three (L, n_k) blocks, and one
-   stacked fit then gives every study's slope, residual SD, d and g;
+3. fit the additive regression to the original data: each study draws its
+   data from its own substream into row i of three (L, n_k) blocks, and one
+   stacked fit gives every study's "true" d;
 4. hand the reported parameters - not the sample statistics - to the crude
-   estimator (pair-mean standardizer) and to the simulation estimator, and
-   pool the per-study g's from each;
-5. record the mean absolute per-study difference |g_true - g_est| and the
+   estimator (pair-mean standardizer) and to the simulation estimator; their
+   d's and the true d's are the rows of one (3, L) array;
+5. turn that array into g's in one pairwise step, pool each row, and record
+   each estimator's mean absolute per-study difference |g_true - g_est| and
    absolute pooled difference |gWM_true - gWM_est|.
 
 Biases are averaged across replicates; Monte Carlo standard errors come
@@ -236,39 +236,31 @@ class BiasReport:
 def _replicate(scenario: Scenario, rep: int):
     """One replicate: (bias_g_crude, bias_gwm_crude, bias_g_sim, bias_gwm_sim, retries)."""
     density = DENSITIES[scenario.density]
-    n_triplet = scenario.n_triplet
+    n_triplet, n_studies = scenario.n_triplet, scenario.n_studies
     for attempt in range(MAX_REPLICATE_RETRIES):
         try:
             rng_params = substream(scenario.seed, MC_PARAMS, rep, attempt)
-            means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws,
-                                              scenario.n_studies, rng_params)
-            blocks = [np.empty((scenario.n_studies, n_k)) for n_k in n_triplet]
-            studies = list(zip(means.T.tolist(), sds.T.tolist()))
-            for i, (m, sd) in enumerate(studies):
+            means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, n_studies, rng_params)
+            studies = list(enumerate(zip(means.T.tolist(), sds.T.tolist())))
+            blocks = [np.empty((n_studies, n_k)) for n_k in n_triplet]
+            for i, (m, sd) in studies:
                 rng_data = substream(scenario.seed, MC_DATA, rep, attempt, i)
                 for k in range(3):
                     blocks[k][i] = sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
-            g_true, v_true = (x.tolist() for x in pairwise_g(additive_fit_rows(blocks)[2], n_triplet))
-            crude, sim = [], []
-            for i, (m, sd) in enumerate(studies):
+            ds = np.empty((3, n_studies))  # rows: truth, crude, simulation
+            ds[0] = additive_fit_rows(blocks)[2]
+            # simulating between the draws instead of after them made forked mc workers about 15% slower
+            for i, (m, sd) in studies:
                 summary = StudySummary(f"study{i + 1}", m, sd, n_triplet)
-                config = SimConfig(
-                    iterations=scenario.inner_iterations,
-                    seed=derive_seed(scenario.seed, MC_INNER, rep, attempt, i),
-                )
-                crude.append(crude_effect(summary, standardizer="pair-mean"))
-                sim.append(sim_effect(summary, config))
-            gwm_true = pool_random_effects(list(zip(g_true, v_true))).g_wm
-            gwm_crude, gwm_sim = (
-                pool_random_effects([(e.g, e.v_g) for e in column]).g_wm for column in (crude, sim)
-            )
-            return (
-                math.fsum(abs(g - e.g) for g, e in zip(g_true, crude)) / len(crude),
-                abs(gwm_true - gwm_crude),
-                math.fsum(abs(g - e.g) for g, e in zip(g_true, sim)) / len(sim),
-                abs(gwm_true - gwm_sim),
-                attempt,
-            )
+                inner_seed = derive_seed(scenario.seed, MC_INNER, rep, attempt, i)
+                ds[1, i] = crude_effect(summary, standardizer="pair-mean").d
+                ds[2, i] = sim_effect(summary, SimConfig(scenario.inner_iterations, inner_seed)).d
+            gs, vs = pairwise_g(ds, n_triplet)
+            gwm = [pool_random_effects(list(zip(g, v))).g_wm for g, v in zip(gs.tolist(), vs.tolist())]
+            # per-study and pooled differences of the crude (row 1) and simulation (row 2) estimates
+            biases = [(math.fsum(np.abs(gs[0] - gs[r]).tolist()) / n_studies, abs(gwm[0] - gwm[r]))
+                      for r in (1, 2)]
+            return (*biases[0], *biases[1], attempt)
         except DegenerateSampleError:
             continue
     raise DegenerateSampleError(

@@ -20,6 +20,7 @@ from typing import Literal, Sequence
 
 Z_95 = 1.96
 MAX_NEWTON_ITERATIONS = 50
+MIN_STEP_SCALE = 2.0**-30  # the smallest fraction of a Newton step tried
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 Label = Literal["AB_vs_AA", "BB_vs_AB"]
@@ -275,20 +276,45 @@ def _score_and_information(groups, b0: float, b1: float, iteration: int):
     return s0, s1, i00, i01, i11, det
 
 
+def _log_likelihood(groups, b0: float, b1: float) -> float:
+    """Binomial log-likelihood of the grouped counts at (b0, b1)."""
+    loglik = 0.0
+    for present, total, x in groups:
+        eta = b0 + x * b1
+        # with t = log(1 + e^-|eta|), which cannot overflow, -log p and -log q are
+        # t and t + eta when eta >= 0, and t - eta and t otherwise
+        t = math.log1p(math.exp(-abs(eta)))
+        if eta >= 0:
+            loglik -= present * t + (total - present) * (t + eta)
+        else:
+            loglik -= present * (t - eta) + (total - present) * t
+    return loglik
+
+
 def _logistic_fit(groups) -> tuple[float, float, int]:
     """Newton-Raphson MLE of logit(p) = b0 + b1*x on grouped counts.
 
     ``groups`` holds one (present, total, x) triple per genotype group with a
-    nonzero total.  Returns b1, its variance (inverse observed information
-    at the fit) and the number of Newton steps taken.
+    nonzero total.  A step that lowers the log-likelihood by more than 1e-12
+    of its magnitude, far above its rounding, is halved until it does not.
+    Returns b1, its variance (inverse observed information at the fit) and
+    the number of Newton steps taken.
     """
     b0 = b1 = 0.0
+    loglik = _log_likelihood(groups, b0, b1)
     for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
         s0, s1, i00, i01, i11, det = _score_and_information(groups, b0, b1, iteration)
         step0 = (i11 * s0 - i01 * s1) / det
         step1 = (i00 * s1 - i01 * s0) / det
-        b0 += step0
-        b1 += step1
+        scale = 1.0
+        while True:
+            trial = _log_likelihood(groups, b0 + scale * step0, b1 + scale * step1)
+            if trial >= loglik - 1e-12 * abs(loglik) or scale <= MIN_STEP_SCALE:
+                break
+            scale /= 2.0
+        b0 += scale * step0
+        b1 += scale * step1
+        loglik = trial
         # a log-OR this size only arises when the likelihood has no maximum
         if abs(b1) > 20.0:
             raise SeparationError(f"slope diverging (b1={b1:.3g}) after {iteration} iterations")

@@ -34,7 +34,8 @@ def pool_random_effects(effects: Sequence[tuple[float, float]]) -> MetaResult:
     """Pool (g, v_g) pairs under the DerSimonian-Laird random-effects model.
 
     A single study is returned as-is with ``tau2 = q = i2 = 0``.  Raises
-    ``ValueError`` on empty input, nonpositive variances, or no finite estimate.
+    ``ValueError`` on empty input, nonpositive variances, a weight ``1/v_g``
+    that overflows (for one study as for many), or no finite estimate.
     """
     if len(effects) == 0:
         raise ValueError("cannot pool an empty set of effects")
@@ -43,28 +44,31 @@ def pool_random_effects(effects: Sequence[tuple[float, float]]) -> MetaResult:
     if any(v <= 0 for v in vs):
         raise ValueError(f"all variances must be > 0, got {vs}")
     k = len(gs)
-    if k == 1:
+    w = [1.0 / v for v in vs]
+    if k == 1 and w[0] < math.inf:  # an infinite weight is refused below, as for k > 1
         g, v = gs[0], vs[0]
         half = Z_95 * math.sqrt(v)
         return MetaResult(g_wm=g, v_wm=v, tau2=0.0, ci_lo=g - half, ci_hi=g + half, k=1,
                           weights=(1.0,), q=0.0, i2=0.0)
 
-    # fsum raises on an overflowing sum or inf - inf, ** on an overflowing square, / on a zero sum;
-    # c > 0 but for rounding, and the max() in tau2 would hide an inf or nan in q or c
+    # fsum raises on an overflowing sum or inf - inf, ** on an overflowing square, / on a zero sum.
+    # tau2 is 0 unless Q exceeds its k - 1 degrees of freedom; only then is its denominator c used,
+    # and a c that rounding left <= 0 or inf gives a nan tau2 and so a nan g_wm
     try:
-        w = [1.0 / v for v in vs]
         sum_w = math.fsum(w)
         g_fe = math.fsum(wi * gi for wi, gi in zip(w, gs)) / sum_w
         q = math.fsum(wi * (gi - g_fe) ** 2 for wi, gi in zip(w, gs))
-        c = sum_w - math.fsum(wi * wi for wi in w) / sum_w
-        tau2 = max(0.0, (q - (k - 1)) / c)
+        tau2 = 0.0
+        if q > k - 1:
+            c = sum_w - math.fsum(wi * wi for wi in w) / sum_w
+            tau2 = (q - (k - 1)) / c if 0.0 < c < math.inf else math.nan
 
         w_star = [1.0 / (v + tau2) for v in vs]
         sum_ws = math.fsum(w_star)
         g_wm = math.fsum(wi * gi for wi, gi in zip(w_star, gs)) / sum_ws
     except (ArithmeticError, ValueError):
-        c = math.nan
-    if not (0.0 < c < math.inf and math.isfinite(q) and math.isfinite(g_wm)):
+        g_wm = math.nan
+    if not (math.isfinite(g_wm) and math.isfinite(q)):
         raise ValueError(f"no finite pooled estimate of {k} effects, variances {min(vs)!r} to {max(vs)!r}")
     v_wm = 1.0 / sum_ws
     half = Z_95 * math.sqrt(v_wm)

@@ -434,6 +434,24 @@ class TestOrCommand:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ors.csv"]
 
+    def test_record_with_no_table_inside_its_margins_names_path_study_and_label(self, tmp_path, capsys):
+        # the quadratic's double root lies past m_top: recover_tables drops both candidates
+        src = tmp_path / "ors.csv"
+        src.write_text(
+            "study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n"
+            "demo,AB_vs_AA,3.00,1.05,8.60,30,30\n"
+            "demo,BB_vs_AB,1.00,0.36,2.81,30,30\n"
+            "huge,AB_vs_AA,20.9,20.88,20.92,234518998,1\n"
+            "huge,BB_vs_AB,1.00,0.36,2.81,30,234518998\n"
+        )
+        out = tmp_path / "o.csv"
+        assert main(["or", str(src), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: study 'huge': AB_vs_AA record: both recovered tables fall "
+                              "outside the margins")
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ors.csv"]
+
 
 STUDY_HEADER = "study_id,m1,m2,m3,sd1,sd2,sd3,n1,n2,n3\n"
 SD_RANGE = "in.csv, row 2: A: all standard deviations must be > 0, between about 1.5e-154 and 1.3e154"
@@ -456,6 +474,8 @@ class TestExtremeInputs:
          "A: the simulated fits leave the floating-point range"),
         (["meta"], "e.csv", "study_id,g,v_g\nA,0.5,0.1\nB,0.3,1e-320\nC,0.2,0.05\n",
          "e.csv: no finite pooled estimate of 3 effects"),
+        (["meta"], "e.csv", "study_id,g,v_g\nA,0.3,1e-320\n",
+         "e.csv: no finite pooled estimate of 1 effects"),
         (["meta"], "e.csv", "study_id,g,v_g\nA,0.5,1e-308\nB,0.7,1e-308\n",
          "e.csv: no finite pooled estimate of 2 effects"),
         (["meta"], "e.csv", "study_id,g,v_g\nA,0.5,1e-160\nB,0.7,1e-160\n",
@@ -463,8 +483,8 @@ class TestExtremeInputs:
         (["meta"], "e.csv", "study_id,g,v_g\nA,-1e300,1\nB,1e300,1\n",
          "e.csv: no finite pooled estimate of 2 effects"),
     ], ids=["crude-tiny-sd", "crude-huge-sd", "sim-tiny-sd", "sim-huge-sd", "crude-infinite-d",
-            "sim-infinite-d", "meta-subnormal-v", "meta-weight-sum-overflow", "meta-squared-weight-overflow",
-            "meta-q-overflow"])
+            "sim-infinite-d", "meta-subnormal-v", "meta-single-subnormal-v", "meta-weight-sum-overflow",
+            "meta-squared-weight-overflow", "meta-q-overflow"])
     def test_exits_1_with_one_error_line_and_no_output(self, argv, name, text, message, tmp_path, capsys):
         src = tmp_path / name
         src.write_text(text)

@@ -15,6 +15,7 @@ from addmeta.odds_recovery import (
     CandidateTable,
     CombinedOR,
     ConvergenceError,
+    InfeasibleTableError,
     MergedTable,
     NegativeDiscriminantError,
     ORRecord,
@@ -111,6 +112,16 @@ def reference_combined_or(merged: MergedTable) -> CombinedOR:
                       b1, se, iterations)
 
 
+def discriminant(record: ORRecord) -> tuple[float, float]:
+    """The discriminant and linear coefficient of the quadratic, in recover_tables' arithmetic."""
+    or_value, m1, m2 = record.or_value, record.m_top, record.m_bottom
+    se2 = se_from_ci(record.ci_lo, record.ci_hi) ** 2
+    alpha = (1.0 - or_value) ** 2 + or_value * m2 * se2
+    lam = or_value * m1 * (2.0 * (1.0 - or_value) - m2 * se2)
+    gamma = or_value * m1 * (or_value * m1 + m2)
+    return lam * lam - 4.0 * alpha * gamma, lam
+
+
 def merged_table(aa, ab, bb) -> MergedTable:
     return MergedTable(bb=bb, ab=ab, aa=aa, ab_branch="plus", bb_branch="plus", ab_distance=0.0)
 
@@ -144,6 +155,15 @@ class TestORRecord:
     def test_zero_margin(self):
         with pytest.raises(ValueError):
             ORRecord("AB_vs_AA", 2.0, 1.0, 4.0, 0, 30)
+
+    @pytest.mark.parametrize("or_value", [0.0, -2.0])
+    def test_nonpositive_or_rejected(self, or_value):
+        with pytest.raises(ValueError, match="odds ratio must be > 0"):
+            ORRecord("AB_vs_AA", or_value, 1.0, 4.0, 30, 30)
+
+    def test_out_of_order_ci_rejected(self):
+        with pytest.raises(ValueError, match="need 0 < ci_lo < ci_hi"):
+            ORRecord("AB_vs_AA", 2.0, 4.0, 1.0, 30, 30)
 
 
 class TestRecoverTables:
@@ -196,6 +216,32 @@ class TestRecoverTables:
     def test_inconsistent_record_raises_negative_discriminant(self):
         record = ORRecord("AB_vs_AA", 3.0, 2.99, 3.01, 30, 30)
         with pytest.raises(NegativeDiscriminantError):
+            recover_tables(record)
+
+    def test_grazing_root_lost_to_rounding_is_kept(self):
+        # the CI is rounded from the se^2 at which the two roots meet, at (20, 10, 10, 20)
+        record = ORRecord("AB_vs_AA", 4.0, 1.367191, 11.70283, 30, 30)
+        disc, lam = discriminant(record)
+        assert -1e-9 * lam * lam < disc < 0.0
+        candidates = recover_tables(record)
+        assert [c.root_branch for c in candidates] == ["plus", "minus"]
+        assert candidates[0].cells == candidates[1].cells == (20, 10, 10, 20)
+
+    def test_root_outside_the_margins_is_dropped(self):
+        # every real root lies in (0, m_top) in exact arithmetic; near 2e8 subjects
+        # the rounding of the discriminant puts the minus root 6.4 counts past m_top
+        record = ORRecord("AB_vs_AA", 80400000.0, 79600000.0, 81210000.0, 197206548, 1)
+        (candidate,) = recover_tables(record)
+        assert candidate.root_branch == "plus"
+        assert candidate.cells == (197206547, 1, 1, 0)
+
+    def test_both_roots_outside_the_margins_raise_infeasible(self):
+        # the discriminant is -8.1e-10 of lam^2, inside the grazing allowance, and
+        # the double root lies past m_top
+        record = ORRecord("AB_vs_AA", 20.9, 20.88, 20.92, 234518998, 1)
+        disc, lam = discriminant(record)
+        assert -1e-9 * lam * lam < disc < 0.0
+        with pytest.raises(InfeasibleTableError, match="AB_vs_AA record: both recovered tables fall outside"):
             recover_tables(record)
 
     def test_round_trip_1000_random_tables(self):
@@ -386,6 +432,24 @@ class TestScalarFit:
         assert all(math.isfinite(v) for v in (fitted.or_value, fitted.ci_lo, fitted.ci_hi))
         assert fitted.ci_lo < fitted.or_value < fitted.ci_hi
         assert fitted.iterations_used < MAX_NEWTON_ITERATIONS
+
+    @pytest.mark.parametrize("rows, plain_steps", [
+        (((4, 5), (762901180, 1781), (816379507, 2)), 56),
+        (((515361160, 3), (318810171, 758), (1, 5)), 79),
+    ])
+    def test_step_halving_fits_tables_plain_newton_overshoots(self, rows, plain_steps, monkeypatch):
+        merged = merged_table(*rows)
+        fitted = combined_or(merged)
+        assert fitted.iterations_used == 25
+        # plain Newton (a smallest step fraction of 2 halves no step) overshoots twice from b = 0
+        monkeypatch.setattr(odds_recovery, "MIN_STEP_SCALE", 2.0)
+        with pytest.raises(ConvergenceError, match=f"in {MAX_NEWTON_ITERATIONS} iterations"):
+            combined_or(merged)
+        monkeypatch.setattr(odds_recovery, "MAX_NEWTON_ITERATIONS", 500)
+        plain = combined_or(merged)
+        assert plain.iterations_used == plain_steps
+        assert math.isclose(fitted.beta, plain.beta, rel_tol=1e-12)
+        assert math.isclose(fitted.se_beta, plain.se_beta, rel_tol=1e-12)
 
     def test_log_uniform_counts_up_to_a_billion_converge(self):
         rng = random.Random(20270405)

@@ -127,3 +127,20 @@ def test_extreme_inputs_pool_to_finite_fields_or_value_error(effects):
         return
     fields = (result.g_wm, result.v_wm, result.tau2, result.ci_lo, result.ci_hi, result.q, result.i2)
     assert all(math.isfinite(x) for x in fields + result.weights)
+
+
+def test_single_study_with_an_overflowing_weight_is_refused():
+    # 1/v_g overflows: refused for one study as it is beside others
+    with pytest.raises(ValueError, match="no finite pooled estimate of 1 effects"):
+        pool_random_effects([(0.5, 1e-320)])
+    with pytest.raises(ValueError, match="no finite pooled estimate of 2 effects"):
+        pool_random_effects([(0.5, 1e-320), (0.3, 0.1)])
+
+
+def test_tau2_needs_no_denominator_when_q_is_within_its_degrees_of_freedom():
+    # c = sum_w - sum(w^2)/sum_w cancels to 0 here, but Q = 1.25e-10 < k - 1 puts tau2 at 0 anyway
+    result = pool_random_effects([(0.0, 1e-10), (1.0, 1e10), (0.5, 1e10)])
+    assert result.tau2 == 0.0
+    assert result.q == pytest.approx(1.25e-10, rel=1e-12)
+    assert result.g_wm == pytest.approx(1.5e-20, rel=1e-12)
+    assert result.v_wm == pytest.approx(1e-10, rel=1e-12)
