@@ -24,11 +24,14 @@ standard deviations are heterogeneous.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 Standardizer = Literal["pair-mean", "pooled"]
+
+# s * s is a normal float exactly when SD_MIN <= s < SD_MAX: 2**-511 squares to
+# sys.float_info.min, and 2**512 is the least double whose square overflows
+SD_MIN, SD_MAX = 2.0**-511, 2.0**512
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class StudySummary:
         object.__setattr__(self, "sd", tuple(float(x) for x in self.sd))
         if not all(math.isfinite(x) for x in self.m + self.sd):
             raise ValueError(f"{self.study_id}: means and SDs must be finite, got {self.m}, {self.sd}")
-        if not all(s > 0 and sys.float_info.min <= s * s < math.inf for s in self.sd):
+        if not all(SD_MIN <= s < SD_MAX for s in self.sd):
             raise ValueError(f"{self.study_id}: all standard deviations must be > 0, between about "
                              f"1.5e-154 and 1.3e154 so that their squares are normal floats, got {self.sd}")
         n = tuple(int(x) for x in self.n)

@@ -36,7 +36,7 @@ class InfeasibleTableError(ValueError):
 
 
 class SeparationError(RuntimeError):
-    """The logistic fit diverges (perfect separation across genotype codes)."""
+    """The logistic fit has no finite maximum (separation across genotype codes)."""
 
 
 class ConvergenceError(RuntimeError):
@@ -150,7 +150,10 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
     from the reported OR, the CI-implied SE of log-OR, and the margins; each
     real root is completed to a full table and rounded so the margins are
     preserved exactly.  Roots landing outside the margins (any cell below
-    -0.5 or more than half a count above its margin) are dropped.
+    -0.5 or more than half a count above its margin) are dropped.  A
+    discriminant below zero by less than 1e-9 of lam^2 is taken as a double
+    root lost to rounding when that root lies inside the margins; otherwise
+    the record has no real solution.
     """
     or_value = record.or_value
     m1, m2 = record.m_top, record.m_bottom
@@ -159,12 +162,10 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
     lam = or_value * m1 * (2.0 * (1.0 - or_value) - m2 * se2)
     gamma = or_value * m1 * (or_value * m1 + m2)
     disc = lam * lam - 4.0 * alpha * gamma
-    if disc < 0:
-        if disc > -1e-9 * max(lam * lam, 1.0):
-            disc = 0.0  # grazing root, lost to rounding
-        else:
-            raise NegativeDiscriminantError(f"{record.label} record: no real solution for {record}")
-    sqrt_disc = math.sqrt(disc)
+    if disc <= -1e-9 * max(lam * lam, 1.0):
+        raise NegativeDiscriminantError(f"{record.label} record: no real solution for {record}")
+    grazing = disc < 0  # a double root lost to rounding, if it lies inside the margins
+    sqrt_disc = math.sqrt(max(disc, 0.0))
     candidates = []
     for branch, signed in (("plus", sqrt_disc), ("minus", -sqrt_disc)):
         a = -(lam + signed) / (2.0 * alpha)
@@ -191,6 +192,8 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
             )
         )
     if not candidates:
+        if grazing:
+            raise NegativeDiscriminantError(f"{record.label} record: no real solution for {record}")
         raise InfeasibleTableError(
             f"{record.label} record: both recovered tables fall outside the margins for {record}"
         )
@@ -291,14 +294,28 @@ def _log_likelihood(groups, b0: float, b1: float) -> float:
     return loglik
 
 
+def _separated(groups) -> bool:
+    """Whether the codes of the groups with present and with absent counts do not overlap.
+
+    Then, and only then, some threshold on the code has every present count
+    on one side and every absent count on the other (a group at the
+    threshold may have both): the data are quasi-separated and the
+    likelihood has no finite maximum.
+    """
+    present_codes = [x for present, _, x in groups if present > 0]
+    absent_codes = [x for present, total, x in groups if present < total]
+    return max(absent_codes) <= min(present_codes) or max(present_codes) <= min(absent_codes)
+
+
 def _logistic_fit(groups) -> tuple[float, float, int]:
     """Newton-Raphson MLE of logit(p) = b0 + b1*x on grouped counts.
 
     ``groups`` holds one (present, total, x) triple per genotype group with a
-    nonzero total.  A step that lowers the log-likelihood by more than 1e-12
-    of its magnitude, far above its rounding, is halved until it does not.
-    Returns b1, its variance (inverse observed information at the fit) and
-    the number of Newton steps taken.
+    nonzero total, with present and absent counts that are not separated by
+    the code, so the MLE is finite.  A step that lowers the log-likelihood
+    by more than 1e-12 of its magnitude, far above its rounding, is halved
+    until it does not.  Returns b1, its variance (inverse observed
+    information at the fit) and the number of Newton steps taken.
     """
     b0 = b1 = 0.0
     loglik = _log_likelihood(groups, b0, b1)
@@ -315,9 +332,6 @@ def _logistic_fit(groups) -> tuple[float, float, int]:
         b0 += scale * step0
         b1 += scale * step1
         loglik = trial
-        # a log-OR this size only arises when the likelihood has no maximum
-        if abs(b1) > 20.0:
-            raise SeparationError(f"slope diverging (b1={b1:.3g}) after {iteration} iterations")
         if (abs(s0) < 1e-10 and abs(s1) < 1e-10) or (abs(step0) < 1e-10 and abs(step1) < 1e-10):
             _, _, i00, _, _, det = _score_and_information(groups, b0, b1, iteration)
             return b1, i00 / det, iteration
@@ -343,6 +357,9 @@ def combined_or(merged: MergedTable) -> CombinedOR:
     total_present = sum(present for present, _, _ in groups)
     if total_present == 0 or total_present == sum(total for _, total, _ in groups):
         raise ValueError("phenotype vector is constant; no odds ratio is identifiable")
+    if _separated(groups):
+        raise SeparationError("no finite Wald interval: the genotype code separates the present from "
+                              "the absent counts, so the slope has no finite maximum-likelihood estimate")
     b1, variance, iterations = _logistic_fit(groups)
     # fitted probabilities rounded to 0 or 1 leave the slope's likelihood flat
     if not (variance > 0 and abs(b1) + Z_95 * math.sqrt(variance) < _LOG_FLOAT_MAX):

@@ -64,7 +64,7 @@ class _Design:
         n = np.asarray(n, dtype=float)
         self.n_total = float(n.sum())
         centered = _CODES - float((n * _CODES).sum()) / self.n_total
-        self.slope_weights = n * centered / float((n * centered**2).sum())
+        self.slope_weights = tuple((n * centered / float((n * centered**2).sum())).tolist())
         self.curvature_scale = 1.0 / float((_CURVATURE**2 / n).sum())
 
 
@@ -105,28 +105,38 @@ def additive_regression(groups: Sequence[np.ndarray]) -> tuple[float, float, flo
     return float(beta[0]), float(sd[0]), float(d[0])
 
 
-def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-iteration slope, residual sd and d of the regenerated datasets.
+def draw_fits(m: Sequence[float], sd: Sequence[float], n: tuple[int, int, int], iterations: int,
+              seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-iteration slope, residual sd and d of one study's regenerated datasets.
 
-    (slope, curvature) is its mean plus its covariance's Cholesky factor
-    times one (2, iterations) normal block; then one gamma SSE run per group.
+    ``m``, ``sd`` and ``n`` are the study's three group means, SDs and sizes,
+    valid as ``StudySummary`` checks them; the draws come from the substream
+    keyed by ``seed``.  (slope, curvature) is its mean plus its covariance's
+    Cholesky factor times one (2, iterations) normal block; then one gamma
+    SSE run per group.  Run it under ``np.errstate(over="raise",
+    invalid="raise", divide="raise")`` to catch draws that leave the
+    floating-point range.
     """
-    n = np.asarray(summary.n, dtype=float)
-    design = _design(summary.n)
-    w, h, m = design.slope_weights, _CURVATURE, np.asarray(summary.m)
-    var = np.asarray(summary.sd, dtype=float) ** 2
-    mean_var = var / n  # the variance of each drawn group mean
-    beta_sd = math.sqrt(float((w * w * mean_var).sum()))
-    cross = float((w * h * mean_var).sum()) / beta_sd
-    rest = math.sqrt(max(float((h * h * mean_var).sum()) - cross * cross, 0.0))
-    rng = substream(config.seed, SIM_DRAWS)
-    z, curvature = rng.standard_normal((2, config.iterations))
-    rss = sum(rng.gamma((n[k] - 1.0) / 2.0, 2.0 * var[k], config.iterations) for k in range(3))
+    design = _design(n)
+    # the moments in plain floats, in the order numpy's 3-element products and sums take
+    w1, w2, w3 = design.slope_weights
+    var = [s * s for s in sd]
+    v1, v2, v3 = (v / k for v, k in zip(var, n))  # the variance of each drawn group mean
+    beta_sd = math.sqrt(w1 * w1 * v1 + w2 * w2 * v2 + w3 * w3 * v3)
+    cross = (w1 * v1 + w2 * -2.0 * v2 + w3 * v3) / beta_sd
+    rest = math.sqrt(max(v1 + 4.0 * v2 + v3 - cross * cross, 0.0))
+    beta_mean, curvature_mean = w1 * m[0] + w2 * m[1] + w3 * m[2], m[0] + -2.0 * m[1] + m[2]
+    # plain floats overflow silently where numpy's would raise under np.errstate
+    if not all(map(math.isfinite, (beta_sd, cross, rest, beta_mean, curvature_mean))):
+        raise FloatingPointError("overflow encountered in the moments of the group means")
+    rng = substream(seed, SIM_DRAWS)
+    z, curvature = rng.standard_normal((2, iterations))
+    rss = sum(rng.gamma((k - 1.0) / 2.0, 2.0 * v, iterations) for k, v in zip(n, var))
     curvature *= rest
     curvature += cross * z
-    curvature += float((h * m).sum())
+    curvature += curvature_mean
     betas = beta_sd * z
-    betas += float((w * m).sum())
+    betas += beta_mean
     curvature *= curvature
     rss += design.curvature_scale * curvature
     rss /= design.n_total - 2.0
@@ -134,6 +144,11 @@ def _draws(summary: StudySummary, config: SimConfig) -> tuple[np.ndarray, np.nda
     if (sds == 0.0).any():
         raise DegenerateSampleError("zero-variance draw in simulation")
     return betas, sds, betas / sds
+
+
+def range_error(study_id: str, exc: Exception) -> ValueError:
+    """The error for a study whose simulated fits overflow or divide by zero."""
+    return ValueError(f"{study_id}: the simulated fits leave the floating-point range ({exc})")
 
 
 def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> AdditiveEffect:
@@ -151,7 +166,7 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
     try:
         # an overflow, a 0/0 or a zero slope SD raises here instead of writing inf or nan
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            betas, sds, ds = _draws(summary, config)
+            betas, sds, ds = draw_fits(summary.m, summary.sd, summary.n, n_iter, config.seed)
             # ndarray.sum and a division give numpy's mean() and std(ddof=1) bit for bit, less wrappers
             d = float(ds.sum()) / n_iter
             ds -= d
@@ -160,5 +175,4 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
             return effect_from_d(summary.study_id, float(betas.sum()) / n_iter, float(sds.sum()) / n_iter,
                                  d, summary.n, "simulation", d_se)
     except (FloatingPointError, ZeroDivisionError) as exc:
-        raise ValueError(f"{summary.study_id}: the simulated fits leave the floating-point range "
-                         f"({exc})") from None
+        raise range_error(summary.study_id, exc) from None

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addmeta import bias_study
 from addmeta._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
@@ -20,6 +22,7 @@ from addmeta.bias_study import (
     N_TRIPLETS,
     PERTURB_SD,
     Scenario,
+    _crude_ds,
     _replicate,
     perturb_study_params,
     run_scenario,
@@ -219,10 +222,12 @@ SMALL = Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
 
 class TestRunScenario:
     def test_crude_substitution_copies_crude_bias(self, monkeypatch):
-        def crude(summary, config):
-            return crude_effect(summary, standardizer="pair-mean")
+        def crude(m, sd, n, iterations, seed):
+            # one draw whose d is the crude d: its mean is that d bit for bit
+            d = crude_effect(StudySummary("s", m, sd, n), standardizer="pair-mean").d
+            return np.array([0.0]), np.array([1.0]), np.array([d])
 
-        monkeypatch.setattr(bias_study, "sim_effect", crude)
+        monkeypatch.setattr(bias_study, "draw_fits", crude)
         report = run_scenario(SMALL)
         assert report.bias_g_sim == report.bias_g_crude
         assert report.bias_gwm_sim == report.bias_gwm_crude
@@ -230,15 +235,15 @@ class TestRunScenario:
 
     def test_degenerate_replicates_are_retried_and_counted(self, monkeypatch):
         calls = {"n": 0}
-        sim_effect = bias_study.sim_effect
+        draw_fits = bias_study.draw_fits
 
-        def flaky(summary, config):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise DegenerateSampleError("injected")
-            return sim_effect(summary, config)
+            return draw_fits(*args)
 
-        monkeypatch.setattr(bias_study, "sim_effect", flaky)
+        monkeypatch.setattr(bias_study, "draw_fits", flaky)
         report = run_scenario(SMALL)
         assert report.retries == 1
         assert math.isfinite(report.bias_gwm_sim)
@@ -262,10 +267,10 @@ class TestRunScenario:
         assert multiprocessing.active_children() == []
 
     def test_failing_replicates_raise_the_serial_error(self, monkeypatch):
-        def degenerate(summary, config):
+        def degenerate(*args):
             raise DegenerateSampleError("injected")
 
-        monkeypatch.setattr(bias_study, "sim_effect", degenerate)
+        monkeypatch.setattr(bias_study, "draw_fits", degenerate)
         with pytest.raises(DegenerateSampleError) as serial:
             run_scenario(SMALL)
         with pytest.raises(DegenerateSampleError) as parallel:
@@ -295,14 +300,14 @@ class TestRunScenario:
     @forked_children
     def test_child_exception_is_raised_with_its_type_and_message(self, monkeypatch):
         parent = os.getpid()
-        sim_effect = bias_study.sim_effect
+        draw_fits = bias_study.draw_fits
 
-        def degenerate_in_children(summary, config):
+        def degenerate_in_children(*args):
             if os.getpid() != parent:
                 raise DegenerateSampleError("injected")
-            return sim_effect(summary, config)
+            return draw_fits(*args)
 
-        monkeypatch.setattr(bias_study, "sim_effect", degenerate_in_children)
+        monkeypatch.setattr(bias_study, "draw_fits", degenerate_in_children)
         # shard 1 of 2 starts at replicate 1
         with pytest.raises(DegenerateSampleError, match="^replicate 1 of scenario .* degenerate after 32"):
             run_scenario(SMALL, workers=2)
@@ -458,6 +463,58 @@ class TestStackedReplicate:
                             n_triplet=n_triplet, inner_iterations=40, seed=23)
         for rep in range(2):
             assert _replicate(scenario, rep) == _reference_replicate(scenario, rep)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        studies=st.lists(st.tuples(st.tuples(*[st.floats(-1e50, 1e50)] * 3),
+                                   st.tuples(*[st.floats(1e-50, 1e50)] * 3)), min_size=1, max_size=15),
+        n=st.tuples(*[st.integers(2, 10**6)] * 3),
+    )
+    def test_crude_row_equals_crude_effect_bit_for_bit(self, studies, n):
+        means = np.array([m for m, _ in studies]).T
+        sds = np.array([sd for _, sd in studies]).T
+        row = _crude_ds(means, sds, n).tolist()
+        assert row == [crude_effect(StudySummary("s", m, sd, n), standardizer="pair-mean").d
+                       for m, sd in studies]
+
+    def test_crude_row_squares_sds_as_pooled_sd_does(self):
+        # numpy's s * s and Python's s ** 2 round these SDs differently
+        sds = [s for s in np.random.default_rng(3).uniform(0.5, 9.0, 20_000).tolist() if s * s != s**2][:3]
+        if len(sds) < 3:
+            pytest.skip("this libm's pow(s, 2) rounds as s * s does")
+        means, n = np.array([[4.0], [5.5], [7.0]]), (10, 15, 5)
+        assert _crude_ds(means, np.array(sds)[:, None], n)[0] == crude_effect(
+            StudySummary("s", (4.0, 5.5, 7.0), sds, n)).d
+
+    @pytest.mark.parametrize("which, index, value, message", [
+        (0, (1, 2), math.nan, "study3: means and SDs must be finite"),
+        (1, (0, 3), 1e200, "study4: all standard deviations must be > 0"),
+    ], ids=["nan-mean", "huge-sd"])
+    def test_drawn_parameters_get_study_summary_checks(self, which, index, value, message, monkeypatch):
+        def perturbed(*args):
+            params = perturb_study_params(*args)  # (means, sds)
+            params[which][index] = value
+            return params
+
+        monkeypatch.setattr(bias_study, "perturb_study_params", perturbed)
+        with pytest.raises(ValueError, match=message):
+            _replicate(SMALL, 0)
+
+    def test_simulation_out_of_float_range_names_the_study(self, monkeypatch):
+        draw_fits = bias_study.draw_fits
+
+        def overflowing_second_study(m, sd, n, iterations, seed):
+            if sd == studies[1]:
+                np.float64(1e300) * np.float64(1e300)  # raises only under the replicate's np.errstate
+            return draw_fits(m, sd, n, iterations, seed)
+
+        means, sds = perturb_study_params(SMALL.mean_vec, SMALL.sigma_ws, SMALL.n_studies,
+                                          substream(SMALL.seed, MC_PARAMS, 0, 0))
+        studies = sds.T.tolist()
+        monkeypatch.setattr(bias_study, "draw_fits", overflowing_second_study)
+        with pytest.raises(ValueError, match=r"^study2: the simulated fits leave the floating-point range "
+                                             r"\(overflow encountered in .*\)$"):
+            _replicate(SMALL, 0)
 
     def test_degenerate_study_retries_the_replicate(self, monkeypatch):
         # study 2 of attempt 0 draws constant, equal groups: its truth fit has sd 0

@@ -435,14 +435,15 @@ class TestOrCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ors.csv"]
 
     def test_record_with_no_table_inside_its_margins_names_path_study_and_label(self, tmp_path, capsys):
-        # the quadratic's double root lies past m_top: recover_tables drops both candidates
+        # the double root completes to a cell 39 counts past m_bottom: recover_tables
+        # drops both candidates
         src = tmp_path / "ors.csv"
         src.write_text(
             "study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n"
             "demo,AB_vs_AA,3.00,1.05,8.60,30,30\n"
             "demo,BB_vs_AB,1.00,0.36,2.81,30,30\n"
-            "huge,AB_vs_AA,20.9,20.88,20.92,234518998,1\n"
-            "huge,BB_vs_AB,1.00,0.36,2.81,30,234518998\n"
+            "huge,AB_vs_AA,3.2627e16,1.9085e16,5.5779e16,3791159029,7358272510\n"
+            "huge,BB_vs_AB,1.00,0.36,2.81,30,3791159029\n"
         )
         out = tmp_path / "o.csv"
         assert main(["or", str(src), "-o", str(out)]) == 1

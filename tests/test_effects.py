@@ -1,6 +1,7 @@
 """Crude estimator and the shared d-to-g machinery."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ class TestStudySummary:
     def test_rejects_non_finite_statistics(self, m, sd):
         with pytest.raises(ValueError, match="finite"):
             StudySummary("x", m, sd, (5, 5, 5))
+
+    @pytest.mark.parametrize("sd, square_is_normal", [
+        (2.0**-511, True),
+        (math.nextafter(2.0**-511, 0.0), False),
+        (math.nextafter(2.0**512, 0.0), True),
+        (2.0**512, False),
+    ])
+    def test_sd_range_is_where_the_square_is_a_normal_float(self, sd, square_is_normal):
+        assert (sys.float_info.min <= sd * sd < math.inf) == square_is_normal
+        if square_is_normal:
+            StudySummary("x", (1, 2, 3), (1, sd, 1), (5, 5, 5))
+        else:
+            with pytest.raises(ValueError, match="squares are normal floats"):
+                StudySummary("x", (1, 2, 3), (1, sd, 1), (5, 5, 5))
 
     def test_rejects_tiny_groups(self):
         with pytest.raises(ValueError, match="sample sizes"):

@@ -122,6 +122,32 @@ def discriminant(record: ORRecord) -> tuple[float, float]:
     return lam * lam - 4.0 * alpha * gamma, lam
 
 
+def profile_slope_mle(groups, lo: float, hi: float) -> float:
+    """The slope in [lo, hi] that maximizes the profile log-likelihood, by golden section.
+
+    For each slope the intercept solves its score equation by bisection;
+    ``groups`` holds (present, total, code) triples.  Independent of the
+    Newton fit: no information matrix and no step control.
+    """
+    def sigmoid(eta):
+        return 1.0 / (1.0 + math.exp(-eta)) if eta >= 0 else math.exp(eta) / (1.0 + math.exp(eta))
+
+    def profile(b1):
+        low, high = -200.0, 200.0
+        for _ in range(200):
+            b0 = (low + high) / 2.0
+            score = math.fsum(y - n * sigmoid(b0 + b1 * x) for y, n, x in groups)
+            low, high = (b0, high) if score > 0 else (low, b0)
+        return math.fsum(y * (b0 + b1 * x) - n * (max(b0 + b1 * x, 0.0) + math.log1p(math.exp(-abs(b0 + b1 * x))))
+                         for y, n, x in groups)
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        lo, hi = (lo, right) if profile(left) > profile(right) else (left, hi)
+    return (lo + hi) / 2.0
+
+
 def merged_table(aa, ab, bb) -> MergedTable:
     return MergedTable(bb=bb, ab=ab, aa=aa, ab_branch="plus", bb_branch="plus", ab_distance=0.0)
 
@@ -236,12 +262,21 @@ class TestRecoverTables:
         assert candidate.cells == (197206547, 1, 1, 0)
 
     def test_both_roots_outside_the_margins_raise_infeasible(self):
-        # the discriminant is -8.1e-10 of lam^2, inside the grazing allowance, and
-        # the double root lies past m_top
+        # the discriminant rounds to exactly 0 and the completion of the double
+        # root puts cell d 39 counts past m_bottom
+        record = ORRecord("AB_vs_AA", 3.2627e16, 1.9085e16, 5.5779e16, 3791159029, 7358272510)
+        disc, _ = discriminant(record)
+        assert disc == 0.0
+        with pytest.raises(InfeasibleTableError, match="AB_vs_AA record: both recovered tables fall outside"):
+            recover_tables(record)
+
+    def test_grazing_root_outside_the_margins_is_no_real_solution(self):
+        # the discriminant is -8.1e-10 of lam^2, inside the grazing allowance, but the
+        # double root lies at a = 246,303,871, past m_top: no table is lost to rounding
         record = ORRecord("AB_vs_AA", 20.9, 20.88, 20.92, 234518998, 1)
         disc, lam = discriminant(record)
         assert -1e-9 * lam * lam < disc < 0.0
-        with pytest.raises(InfeasibleTableError, match="AB_vs_AA record: both recovered tables fall outside"):
+        with pytest.raises(NegativeDiscriminantError, match="AB_vs_AA record: no real solution"):
             recover_tables(record)
 
     def test_round_trip_1000_random_tables(self):
@@ -351,6 +386,29 @@ class TestCombinedOR:
                              ab_branch="plus", bb_branch="plus", ab_distance=0.0)
         with pytest.raises(SeparationError):
             combined_or(merged)
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 30), (15, 15), (30, 0)],  # quasi: both counts only at the middle code
+        [(0, 30), (0, 10), (5, 0)],  # complete
+        [(9, 0), (0, 4), (0, 0)],  # complete, downward, with an empty group
+        [(2, 66589981), (0, 1), (0, 375301268)],  # quasi, downward
+        [(0, 1), (0, 0), (1, 1)],  # quasi at the top code
+    ])
+    def test_separation_is_decided_from_the_counts(self, rows):
+        with pytest.raises(SeparationError, match="genotype code separates the present from the absent"):
+            combined_or(merged_table(*rows))
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 5), (3, 2), (1, 4)],  # a zero cell, but present and absent overlap
+        [(1, 533620), (2, 9218690), (4, 1)],  # MLE slope 15.06; an iterate passes 20
+        [(64331692, 156), (844, 68271758), (52, 128114)],  # MLE slope -23.8
+    ])
+    def test_unseparated_counts_fit_to_the_profile_likelihood_maximum(self, rows):
+        fitted = combined_or(merged_table(*rows))
+        groups = [(present, present + absent, x) for x, (present, absent) in zip((1, 2, 3), rows)]
+        expected = profile_slope_mle(groups, fitted.beta - 1.0, fitted.beta + 1.0)
+        assert math.isclose(fitted.beta, expected, rel_tol=1e-6)
+        assert fitted.iterations_used < MAX_NEWTON_ITERATIONS
 
     def test_constant_phenotype_rejected(self):
         merged = MergedTable(bb=(10, 0), ab=(10, 0), aa=(10, 0),

@@ -12,9 +12,9 @@ from addmeta.effects import AdditiveEffect, StudySummary, cohens_d_variance, cru
 from addmeta.simulate import (
     DegenerateSampleError,
     SimConfig,
-    _draws,
     additive_fit_rows,
     additive_regression,
+    draw_fits,
     sim_effect,
 )
 
@@ -190,7 +190,7 @@ def noncentral_t_mean_d(beta, sigma, n):
 )
 def test_iteration_reductions_equal_numpy_mean_and_std(m, sd, n, iterations, seed):
     summary, config = StudySummary("s", m, sd, n), SimConfig(iterations=iterations, seed=seed)
-    betas, sds, ds = _draws(summary, config)
+    betas, sds, ds = draw_fits(m, sd, n, iterations, seed)
     effect = sim_effect(summary, config)
     assert effect.beta == float(betas.mean())
     assert effect.sd_beta == float(sds.mean())
@@ -229,7 +229,7 @@ class TestReferenceEquivalence:
         draws = 4000
         rng = np.random.default_rng(2718)
         reference = [draw_and_fit_once(summary, rng) for _ in range(draws)]
-        fast = _draws(summary, SimConfig(iterations=draws, seed=2719))
+        fast = draw_fits(summary.m, summary.sd, summary.n, draws, 2719)
         for name, ref, new in zip(("beta", "sd", "d"), zip(*reference), fast):
             ref_mean, ref_mean_se, ref_sd, ref_sd_se = _moments(np.array(ref))
             new_mean, new_mean_se, new_sd, new_sd_se = _moments(new)
@@ -262,7 +262,7 @@ def test_draws_consume_the_normal_and_chisquare_stream():
     beta, curvature = mean[:, None] + np.linalg.cholesky(cov) @ z
     ref_sd = np.sqrt((sse + lack_of_fit * curvature**2) / (n.sum() - 2.0))
 
-    betas, sds, ds = _draws(summary, config)
+    betas, sds, ds = draw_fits(summary.m, summary.sd, summary.n, config.iterations, config.seed)
     np.testing.assert_allclose(betas, beta, rtol=0, atol=1e-12 * (abs(mean[0]) + math.sqrt(cov[0, 0])))
     np.testing.assert_allclose(sds, ref_sd, rtol=1e-12)
     np.testing.assert_array_equal(ds, betas / sds)
@@ -277,7 +277,7 @@ def test_draws_consume_the_normal_and_chisquare_stream():
 def test_draw_moments_match_exact_moments(summary):
     # E[beta], Var[beta], E[sd^2] and E[beta sd^2] in closed form: SSE is independent
     # of (beta, c), E[c^2] = mu_c^2 + var_c and E[beta c^2] = mu_b E[c^2] + 2 mu_c cov
-    betas, sds, _ = _draws(summary, SimConfig(iterations=400_000, seed=515))
+    betas, sds, _ = draw_fits(summary.m, summary.sd, summary.n, 400_000, 515)
     (mu_b, mu_c), ((var_b, cov), (_, var_c)), sse_mean, lack_of_fit = _contrast_moments(summary)
     dof = sum(summary.n) - 2
     c2 = mu_c**2 + var_c
@@ -292,6 +292,15 @@ def test_draw_moments_match_exact_moments(summary):
     ]
     for name, got, se, want in checks:
         assert abs(got - want) < 4 * se, (name, (got - want) / se)
+
+
+@pytest.mark.parametrize("m, sd, n", [
+    ((1e308, -1e308, 1e308), (1.0, 1.0, 1.0), (10, 15, 5)),  # the means' curvature overflows
+    ((4.0, 5.5, 7.0), (1.0, 1e154, 1.0), (10, 2, 5)),  # 4 sd2^2 / n2 overflows
+])
+def test_moments_out_of_float_range_raise(m, sd, n):
+    with pytest.raises(ValueError, match="^s: the simulated fits leave the floating-point range"):
+        sim_effect(StudySummary("s", m, sd, n), SimConfig(iterations=10, seed=1))
 
 
 class TestSimEffect:
