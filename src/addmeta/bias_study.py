@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -270,7 +271,6 @@ def _replicate(scenario: Scenario, rep: int):
             ds = np.empty((3, n_studies))  # rows: truth, crude, simulation
             ds[0] = additive_fit_rows(blocks)[2]
             ds[1] = _crude_ds(means, sds, n_triplet)
-            # simulating between the draws instead of after them made forked mc workers about 15% slower;
             # each study's d is the mean of its per-draw d's, as in sim_effect
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for i, (m, sd) in studies:
@@ -293,14 +293,17 @@ def _replicate(scenario: Scenario, rep: int):
     )
 
 
-def _shard(scenario: Scenario, start: int, step: int):
+def _shard(scenario: Scenario, start: int, step: int, stop: threading.Event):
     """Replicates start, start + step, ... of a scenario, up to the first that fails.
 
     Returns ``(rows, failure)``: ``failure`` is None, or the failing
     ``(replicate, exception)`` and ``rows`` holds the replicates before it.
+    Once ``stop`` is set, no further replicate starts.
     """
     rows = []
     for rep in range(start, scenario.mc_reps, step):
+        if stop.is_set():
+            break
         try:
             rows.append(_replicate(scenario, rep))
         except Exception as exc:
@@ -308,51 +311,41 @@ def _shard(scenario: Scenario, start: int, step: int):
     return rows, None
 
 
-def _send_shard(scenario: Scenario, start: int, step: int, conn) -> None:
-    conn.send(_shard(scenario, start, step))
-    conn.close()
-
-
 def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     """Run all replicates of a scenario and aggregate the bias metrics.
 
-    ``workers`` processes share the replicates in interleaved shards: the
-    calling process computes replicates 0, W, 2W, ... and one child process
-    per further shard j computes j, j + W, ..., where W is ``workers``
-    capped at the replicate count.  Once every shard has reported, a failing
-    run raises the exception of its lowest failing replicate.  Any exit, an
-    exception or an interrupt included, terminates and joins the children.
-    The result, or the error raised, is the same for any worker count.
+    ``workers`` threads share the replicates in interleaved shards: the
+    calling thread computes replicates 0, W, 2W, ... and a helper thread per
+    further shard j computes j, j + W, ..., where W is ``workers`` capped at
+    the replicate count.  A failing run raises the exception of its lowest
+    failing replicate once every shard has reported.  Any exit of the calling
+    thread, an interrupt included, stops the helpers within one replicate and
+    joins them.  The result, or the error raised, is the same at any worker count.
     """
     reps = scenario.mc_reps
     shards = min(workers, reps)
-    children = []
+    results = [None] * shards
+    stop = threading.Event()
+
+    def work(j: int) -> None:
+        results[j] = _shard(scenario, j, shards, stop)
+
+    helpers = []
     try:
-        if shards > 1:
-            import multiprocessing
-
-            for j in range(1, shards):
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                child = multiprocessing.Process(target=_send_shard, args=(scenario, j, shards, sender),
-                                                daemon=True)
-                child.start()
-                children.append((child, receiver))
-                sender.close()
-        results = [_shard(scenario, 0, shards)]
-        for j, (child, receiver) in enumerate(children, 1):
-            try:
-                results.append(receiver.recv())
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"bias-study worker {j} exited with code {child.exitcode} before sending its replicates"
-                ) from None
+        for j in range(1, shards):
+            helper = threading.Thread(target=work, args=(j,), daemon=True)
+            helper.start()
+            helpers.append(helper)
+        work(0)
+        for helper in helpers:
+            helper.join()
     finally:
-        for child, receiver in children:
-            receiver.close()
-            child.terminate()
-            child.join()
+        stop.set()  # after an early exit, no helper starts another replicate
+        for helper in helpers:
+            helper.join()
 
+    if None in results:
+        raise RuntimeError(f"bias-study worker {results.index(None)} ended without its replicates")
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]  # the lowest failing replicate

@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--full-grid", action="store_true",
                       help="run every scenario cell instead of a single config")
     p_mc.add_argument("--workers", type=_positive_int, default=1,
-                      help="processes for the Monte Carlo replicates (default 1); "
+                      help="threads for the Monte Carlo replicates (default 1); "
                       "results do not depend on it")
     common(p_mc)
     p_mc.set_defaults(func=_cmd_mc)

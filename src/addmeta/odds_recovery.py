@@ -21,6 +21,7 @@ from typing import Literal, Sequence
 Z_95 = 1.96
 MAX_NEWTON_ITERATIONS = 50
 MIN_STEP_SCALE = 2.0**-30  # the smallest fraction of a Newton step tried
+MAX_LOGIT_STEP = 30.0  # the most one step may move a group's fitted logit
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 Label = Literal["AB_vs_AA", "BB_vs_AB"]
@@ -314,8 +315,10 @@ def _logistic_fit(groups) -> tuple[float, float, int]:
     nonzero total, with present and absent counts that are not separated by
     the code, so the MLE is finite.  A step that lowers the log-likelihood
     by more than 1e-12 of its magnitude, far above its rounding, is halved
-    until it does not.  Returns b1, its variance (inverse observed
-    information at the fit) and the number of Newton steps taken.
+    until it does not, and so is one that moves a group's fitted logit by
+    more than MAX_LOGIT_STEP, which can land where two groups' weights
+    underflow and the next step means nothing.  Returns b1, its variance
+    (inverse observed information at the fit) and the number of Newton steps.
     """
     b0 = b1 = 0.0
     loglik = _log_likelihood(groups, b0, b1)
@@ -323,10 +326,12 @@ def _logistic_fit(groups) -> tuple[float, float, int]:
         s0, s1, i00, i01, i11, det = _score_and_information(groups, b0, b1, iteration)
         step0 = (i11 * s0 - i01 * s1) / det
         step1 = (i00 * s1 - i01 * s0) / det
+        reach = max(abs(step0 + x * step1) for _, _, x in groups)  # the full step's largest logit move
         scale = 1.0
         while True:
             trial = _log_likelihood(groups, b0 + scale * step0, b1 + scale * step1)
-            if trial >= loglik - 1e-12 * abs(loglik) or scale <= MIN_STEP_SCALE:
+            if ((trial >= loglik - 1e-12 * abs(loglik) and scale * reach <= MAX_LOGIT_STEP)
+                    or scale <= MIN_STEP_SCALE):
                 break
             scale /= 2.0
         b0 += scale * step0

@@ -1,21 +1,19 @@
 """Mixture densities, parameter perturbation, and the bias-study harness."""
 
+import dataclasses
 import itertools
 import math
 import multiprocessing
-import os
-import subprocess
 import sys
-import textwrap
+import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addmeta import bias_study
+from addmeta import bias_study, simulate
 from addmeta._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
 from addmeta.bias_study import (
     DENSITIES,
@@ -31,10 +29,6 @@ from addmeta.bias_study import (
 from addmeta.effects import StudySummary, crude_effect, effect_from_d
 from addmeta.pooling import pool_random_effects
 from addmeta.simulate import DegenerateSampleError, SimConfig, _Design, sim_effect
-
-# tests that patch the library for the child processes: only a forked child inherits a patch
-forked_children = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                     reason="children inherit the test's patches only when forked")
 
 # a fixed stream key per density: str hashes are salted per process
 DENSITY_KEYS = {"f1": 1, "f2": 2, "f3": 3, "f4": 4}
@@ -251,34 +245,52 @@ class TestRunScenario:
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_bit_identical_across_worker_counts(self, workers, monkeypatch):
         started = []
-        start = multiprocessing.Process.start
+        start = threading.Thread.start
 
-        def counting_start(process):
-            started.append(process)
-            start(process)
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
 
-        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+        def no_process(process):
+            raise AssertionError("run_scenario started a process")
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(multiprocessing.Process, "start", no_process)
+        threads = threading.active_count()
         serial = run_scenario(SMALL)
+        assert started == []
         parallel = run_scenario(SMALL, workers=workers)
         assert parallel == serial
-        # the calling process computes one shard; no more shards than replicates
-        # (one worker starts no process)
+        # the calling thread computes one shard; no more shards than replicates
+        # (one worker starts no thread)
         assert len(started) == min(workers, SMALL.mc_reps) - 1
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_bit_identical_with_more_threads_than_cores_switching_often(self):
+        scenario = dataclasses.replace(SMALL, mc_reps=14, n_triplet=(15, 20, 10))
+        serial = run_scenario(scenario)
+        simulate._design.cache_clear()  # the helpers race to fill the shared design cache
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_scenario(scenario, workers=7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
 
     def test_failing_replicates_raise_the_serial_error(self, monkeypatch):
         def degenerate(*args):
             raise DegenerateSampleError("injected")
 
         monkeypatch.setattr(bias_study, "draw_fits", degenerate)
+        threads = threading.active_count()
         with pytest.raises(DegenerateSampleError) as serial:
             run_scenario(SMALL)
         with pytest.raises(DegenerateSampleError) as parallel:
             run_scenario(SMALL, workers=3)
         assert str(parallel.value) == str(serial.value)
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
-    @forked_children
     def test_error_names_the_lowest_failing_replicate_at_any_worker_count(self, monkeypatch):
         replicate = bias_study._replicate
 
@@ -288,82 +300,101 @@ class TestRunScenario:
             return replicate(scenario, rep)
 
         monkeypatch.setattr(bias_study, "_replicate", failing_at_1_and_2)
+        threads = threading.active_count()
         messages = []
         for workers in (1, 2, 3):
             with pytest.raises(DegenerateSampleError) as failure:
                 run_scenario(SMALL, workers=workers)
             messages.append(str(failure.value))
-            assert multiprocessing.active_children() == []
+            assert threading.active_count() == threads
         # two workers split the failures across shards: 0, 2, 4 and 1, 3, 5
         assert messages == ["replicate 1 injected"] * 3
 
-    @forked_children
-    def test_child_exception_is_raised_with_its_type_and_message(self, monkeypatch):
-        parent = os.getpid()
+    def test_helper_exception_is_raised_with_its_type_and_message(self, monkeypatch):
+        caller = threading.current_thread()
         draw_fits = bias_study.draw_fits
 
-        def degenerate_in_children(*args):
-            if os.getpid() != parent:
+        def degenerate_in_helpers(*args):
+            if threading.current_thread() is not caller:
                 raise DegenerateSampleError("injected")
             return draw_fits(*args)
 
-        monkeypatch.setattr(bias_study, "draw_fits", degenerate_in_children)
+        monkeypatch.setattr(bias_study, "draw_fits", degenerate_in_helpers)
+        threads = threading.active_count()
         # shard 1 of 2 starts at replicate 1
         with pytest.raises(DegenerateSampleError, match="^replicate 1 of scenario .* degenerate after 32"):
             run_scenario(SMALL, workers=2)
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
-    @forked_children
-    def test_child_that_dies_without_sending_raises(self, monkeypatch):
-        parent = os.getpid()
+    def test_helper_out_of_float_range_raises_the_serial_error(self, monkeypatch):
+        draw_fits = bias_study.draw_fits
+        # study 2 of replicate 1, which shard 1 of 2 computes
+        overflowing = derive_seed(SMALL.seed, MC_INNER, 1, 0, 1)
+        raised_in = []
+
+        def overflowing_study(m, sd, n, iterations, seed):
+            if seed == overflowing:
+                raised_in.append(threading.current_thread())
+                np.float64(1e300) * np.float64(1e300)  # raises only under the replicate's np.errstate
+            return draw_fits(m, sd, n, iterations, seed)
+
+        errors = np.geterr()
+        monkeypatch.setattr(bias_study, "draw_fits", overflowing_study)
+        with pytest.raises(ValueError) as serial:
+            run_scenario(SMALL)
+        with pytest.raises(ValueError) as parallel:
+            run_scenario(SMALL, workers=2)
+        assert raised_in[-1] is not threading.current_thread()
+        assert str(parallel.value) == str(serial.value)
+        assert str(serial.value).startswith("study2: the simulated fits leave the floating-point range")
+        assert np.geterr() == errors
+
+    @pytest.mark.parametrize("outcome", ["interrupt", "success", "failure"])
+    def test_every_exit_stops_and_joins_the_helpers(self, outcome, monkeypatch):
+        caller = threading.current_thread()
+        calls = {"caller": 0, "helper": 0}
+
+        def slow(scenario, rep):
+            if threading.current_thread() is caller:
+                calls["caller"] += 1
+                if outcome == "interrupt" and calls["caller"] == 2:
+                    raise KeyboardInterrupt  # after the calling thread's first replicate
+            else:
+                calls["helper"] += 1
+            time.sleep(0.05)
+            if outcome == "failure" and rep == 3:
+                raise DegenerateSampleError("injected")
+            return (0.0, 0.0, 0.0, 0.0, 0)
+
+        monkeypatch.setattr(bias_study, "_replicate", slow)
+        scenario = dataclasses.replace(SMALL, mc_reps=200 if outcome == "interrupt" else 8)
+        threads = threading.active_count()
+        start = time.perf_counter()
+        if outcome == "success":
+            assert run_scenario(scenario, workers=2).retries == 0
+        else:
+            with pytest.raises(KeyboardInterrupt if outcome == "interrupt" else DegenerateSampleError):
+                run_scenario(scenario, workers=2)
+        assert time.perf_counter() - start < 2
+        assert threading.active_count() == threads
+        if outcome == "interrupt":
+            # the helper finishes the replicate it is in and starts no other
+            assert calls["helper"] <= 3
+
+    # the helper's SystemExit reaches threading.excepthook, where pytest reports it
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_helper_that_ends_without_a_result_raises(self, monkeypatch):
+        caller = threading.current_thread()
         replicate = bias_study._replicate
 
-        def dying_in_children(scenario, rep):
-            if os.getpid() != parent:
-                os._exit(3)
+        def exiting_in_helpers(scenario, rep):
+            if threading.current_thread() is not caller:
+                raise SystemExit  # not an Exception: the shard does not catch it
             return replicate(scenario, rep)
 
-        monkeypatch.setattr(bias_study, "_replicate", dying_in_children)
-        with pytest.raises(RuntimeError, match="exited with code 3"):
-            run_scenario(SMALL, workers=3)
-        assert multiprocessing.active_children() == []
-
-    @forked_children
-    def test_interrupt_in_the_calling_process_stops_the_children(self, monkeypatch):
-        parent = os.getpid()
-
-        def interrupted(scenario, rep):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)  # a child still at work
-
-        monkeypatch.setattr(bias_study, "_replicate", interrupted)
-        start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            run_scenario(SMALL, workers=3)
-        assert time.perf_counter() - start < 20
-        assert multiprocessing.active_children() == []
-
-    def test_spawned_children_match_the_serial_report(self, tmp_path):
-        # spawn (macOS, Windows) and forkserver (Linux from Python 3.14) import
-        # the child's target and unpickle its arguments
-        script = tmp_path / "spawned.py"
-        script.write_text(textwrap.dedent("""
-            import multiprocessing
-            from addmeta.bias_study import Scenario, run_scenario
-
-            if __name__ == "__main__":
-                multiprocessing.set_start_method("spawn")
-                scenario = Scenario(density="f3", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
-                                    n_triplet=(10, 15, 5), mc_reps=5, inner_iterations=40, seed=8)
-                assert run_scenario(scenario, workers=2) == run_scenario(scenario)
-                assert multiprocessing.active_children() == []
-        """))
-        src = str(Path(bias_study.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
+        monkeypatch.setattr(bias_study, "_replicate", exiting_in_helpers)
+        with pytest.raises(RuntimeError, match="^bias-study worker 1 ended without its replicates$"):
+            run_scenario(SMALL, workers=2)
 
     def test_bias_aggregation_is_order_invariant(self):
         # mean |g_true - g_est| and the pooled difference ignore study order

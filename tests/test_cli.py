@@ -3,8 +3,7 @@
 import csv
 import json
 import math
-import multiprocessing
-import os
+import threading
 
 import pytest
 
@@ -296,33 +295,25 @@ class TestMcCommand:
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="children inherit the test's patch only when forked")
-    @pytest.mark.parametrize("failure, message", [
-        ("raise", "replicate 1 of scenario"),
-        ("exit", "exited with code 3"),
-    ])
-    def test_failing_worker_exits_1_without_output(self, failure, message, tmp_path, monkeypatch,
-                                                   capfd):
-        parent = os.getpid()
+    def test_failing_worker_exits_1_without_output(self, tmp_path, monkeypatch, capfd):
+        caller = threading.current_thread()
         replicate = bias_study._replicate
 
-        def failing_in_children(scenario, rep):
-            if os.getpid() != parent:
-                if failure == "exit":
-                    os._exit(3)
+        def failing_in_helpers(scenario, rep):
+            if threading.current_thread() is not caller:
                 raise bias_study.DegenerateSampleError(f"replicate {rep} of scenario injected")
             return replicate(scenario, rep)
 
-        monkeypatch.setattr(bias_study, "_replicate", failing_in_children)
+        monkeypatch.setattr(bias_study, "_replicate", failing_in_helpers)
         config = tmp_path / "s.json"
         config.write_text(json.dumps({"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 1.0,
                                       "n_triplet": [10, 15, 5], "mc_reps": 4, "inner_iterations": 20}))
+        threads = threading.active_count()
         assert main(["mc", str(config), "--workers", "2", "-o", str(tmp_path / "o.csv")]) == 1
         err = capfd.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1 and message in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "replicate 1 of scenario" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     def test_full_grid_enumerates_every_cell(self):
         scenarios = full_grid(mc_reps=2, inner_iterations=2, seed=0)
