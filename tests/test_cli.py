@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +21,28 @@ from addmeta.cli import main
 from addmeta.odds_recovery import ORRecord, combine_reported_ors
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+# each command's output at --precision 17, as pinned in tests/data: effect on the
+# Table-2 cohorts with each standardizer and the simulation, meta on the last
+@pytest.mark.parametrize("argv, pinned", [
+    (["effect", "table2_cohorts.csv", "--standardizer", "pooled"], "table2_effect_pooled.csv"),
+    (["effect", "table2_cohorts.csv", "--standardizer", "pair-mean"], "table2_effect_pair_mean.csv"),
+    (["effect", "table2_cohorts.csv", "--method", "sim", "--iterations", "500", "--seed", "7"],
+     "table2_effect_sim.csv"),
+    (["meta", "table2_effect_sim.csv"], "table2_meta_sim.csv"),
+], ids=["effect-pooled", "effect-pair-mean", "effect-sim", "meta-sim"])
+def test_output_bytes_match_the_pinned_file(argv, pinned, tmp_path):
+    command, name, *flags = argv
+    out = tmp_path / pinned
+    assert main([command, str(DATA / name), *flags, "--precision", "17", "-o", str(out)]) == 0
+    assert out.read_bytes() == (DATA / pinned).read_bytes()
 
 
 class TestEffectCommand:
