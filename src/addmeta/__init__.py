@@ -16,7 +16,6 @@ from .effects import (
     crude_beta,
     crude_effect,
     hedges_j,
-    pooled_sd,
 )
 from .odds_recovery import (
     CandidateTable,
@@ -60,7 +59,6 @@ __all__ = [
     "hedges_j",
     "perturb_study_params",
     "pool_random_effects",
-    "pooled_sd",
     "recover_tables",
     "run_scenario",
     "sample_standardized",

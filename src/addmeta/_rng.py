@@ -2,7 +2,7 @@
 
 Every stochastic routine in this package draws from a generator obtained
 through :func:`substream`, keyed by the user seed plus a fixed stream tag
-and structural indices (replicate, study, attempt).  A stream is therefore a
+and structural indices (replicate, study).  A stream is therefore a
 pure function of its keys: results do not depend on execution order or on
 how work is split across workers.
 """

@@ -34,9 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
-from .effects import SD_MAX, SD_MIN, StudySummary, pairwise_g
+from .effects import crude_beta, pairwise_g
 from .pooling import pool_random_effects
-from .simulate import DEFAULT_SEED, DegenerateSampleError, additive_fit_rows, draw_fits, range_error
+from .simulate import DEFAULT_SEED, additive_fit_rows, draw_fits, range_error
 
 # Scenario grid.
 STUDY_COUNTS = (5, 10, 15)
@@ -54,7 +54,6 @@ N_TRIPLETS = (
 )
 
 PERTURB_SD = 2.0
-MAX_REPLICATE_RETRIES = 32
 
 # Desk-scale defaults; the reference protocol is 500 replicates with 10000
 # inner iterations.
@@ -225,72 +224,41 @@ class BiasReport:
     mc_se_gwm_crude: float
     mc_se_g_sim: float
     mc_se_gwm_sim: float
-    retries: int
-
-
-def _check_params(means: np.ndarray, sds: np.ndarray, n_triplet: tuple[int, int, int]) -> None:
-    """StudySummary's checks on every study's drawn (3, L) means and SDs at once.
-
-    The first study that fails them raises StudySummary's error for it.
-    """
-    ok = np.isfinite(means).all(axis=0) & ((sds >= SD_MIN) & (sds < SD_MAX)).all(axis=0)
-    if not ok.all():
-        i = int(ok.argmin())
-        StudySummary(f"study{i + 1}", means[:, i].tolist(), sds[:, i].tolist(), n_triplet)
-
-
-def _crude_ds(means: np.ndarray, sds: np.ndarray, n_triplet: tuple[int, int, int]) -> np.ndarray:
-    """Every study's crude d from (3, L) means and SDs, bit for bit as ``crude_effect``'s pair-mean d.
-
-    The SDs are squared as Python floats, as ``pooled_sd`` squares them:
-    libm's pow(s, 2) and numpy's s * s round differently for about 0.08% of
-    doubles.
-    """
-    n1, n2, n3 = n_triplet
-    var = np.array([[s**2 for s in row] for row in sds.tolist()])
-    sd12 = np.sqrt(((n1 - 1) * var[0] + (n2 - 1) * var[1]) / (n1 + n2 - 2))
-    sd23 = np.sqrt(((n2 - 1) * var[1] + (n3 - 1) * var[2]) / (n2 + n3 - 2))
-    return (means[2] - means[0]) / 2.0 / ((sd12 + sd23) / 2.0)
+    retries: int = 0  # the replicate redraws nothing; kept for the CSV's column layout
 
 
 def _replicate(scenario: Scenario, rep: int):
-    """One replicate: (bias_g_crude, bias_gwm_crude, bias_g_sim, bias_gwm_sim, retries)."""
+    """One replicate: (bias_g_crude, bias_gwm_crude, bias_g_sim, bias_gwm_sim)."""
     density = DENSITIES[scenario.density]
     n_triplet, n_studies = scenario.n_triplet, scenario.n_studies
-    for attempt in range(MAX_REPLICATE_RETRIES):
-        try:
-            rng_params = substream(scenario.seed, MC_PARAMS, rep, attempt)
-            means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, n_studies, rng_params)
-            _check_params(means, sds, n_triplet)
-            studies = list(enumerate(zip(means.T.tolist(), sds.T.tolist())))
-            blocks = [np.empty((n_studies, n_k)) for n_k in n_triplet]
+    # each stream key keeps a 0 where an older protocol numbered redrawn replicates
+    rng_params = substream(scenario.seed, MC_PARAMS, rep, 0)
+    means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, n_studies, rng_params)
+    studies = list(enumerate(zip(means.T.tolist(), sds.T.tolist())))
+    blocks = [np.empty((n_studies, n_k)) for n_k in n_triplet]
+    for i, (m, sd) in studies:
+        rng_data = substream(scenario.seed, MC_DATA, rep, 0, i)
+        for k in range(3):
+            blocks[k][i] = sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
+    ds = np.empty((3, n_studies))  # rows: truth, crude, simulation
+    ds[0] = additive_fit_rows(blocks)[2]
+    beta, sd_beta = crude_beta(means, sds, n_triplet)
+    ds[1] = beta / sd_beta
+    # each study's d is the mean of its per-draw d's, as in sim_effect
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             for i, (m, sd) in studies:
-                rng_data = substream(scenario.seed, MC_DATA, rep, attempt, i)
-                for k in range(3):
-                    blocks[k][i] = sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
-            ds = np.empty((3, n_studies))  # rows: truth, crude, simulation
-            ds[0] = additive_fit_rows(blocks)[2]
-            ds[1] = _crude_ds(means, sds, n_triplet)
-            # each study's d is the mean of its per-draw d's, as in sim_effect
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for i, (m, sd) in studies:
-                    inner_seed = derive_seed(scenario.seed, MC_INNER, rep, attempt, i)
-                    try:
-                        draws = draw_fits(m, sd, n_triplet, scenario.inner_iterations, inner_seed)[2]
-                        ds[2, i] = float(draws.sum()) / draws.size
-                    except (FloatingPointError, ZeroDivisionError) as exc:
-                        raise range_error(f"study{i + 1}", exc) from None
-            gs, vs = pairwise_g(ds, n_triplet)
-            gwm = [pool_random_effects(list(zip(g, v))).g_wm for g, v in zip(gs.tolist(), vs.tolist())]
-            # per-study and pooled differences of the crude (row 1) and simulation (row 2) estimates
-            biases = [(math.fsum(np.abs(gs[0] - gs[r]).tolist()) / n_studies, abs(gwm[0] - gwm[r]))
-                      for r in (1, 2)]
-            return (*biases[0], *biases[1], attempt)
-        except DegenerateSampleError:
-            continue
-    raise DegenerateSampleError(
-        f"replicate {rep} of scenario {scenario} degenerate after {MAX_REPLICATE_RETRIES} attempts"
-    )
+                inner_seed = derive_seed(scenario.seed, MC_INNER, rep, 0, i)
+                draws = draw_fits(m, sd, n_triplet, scenario.inner_iterations, inner_seed)[2]
+                ds[2, i] = float(draws.sum()) / draws.size
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        raise range_error(f"replicate {rep}, study{i + 1}", exc) from None
+    gs, vs = pairwise_g(ds, n_triplet)
+    gwm = [pool_random_effects(list(zip(g, v))).g_wm for g, v in zip(gs.tolist(), vs.tolist())]
+    # per-study and pooled differences of the crude (row 1) and simulation (row 2) estimates
+    biases = [(math.fsum(np.abs(gs[0] - gs[r]).tolist()) / n_studies, abs(gwm[0] - gwm[r]))
+              for r in (1, 2)]
+    return (*biases[0], *biases[1])
 
 
 def _shard(scenario: Scenario, start: int, step: int, stop: threading.Event):
@@ -353,7 +321,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     for j, (shard_rows, _) in enumerate(results):
         rows[j::shards] = shard_rows
     columns = list(zip(*rows))
-    means = [math.fsum(col) / reps for col in columns[:4]]
+    means = [math.fsum(col) / reps for col in columns]
     ses = [math.sqrt(math.fsum((x - mean) ** 2 for x in col) / (reps - 1) / reps)
-           for col, mean in zip(columns[:4], means)]
-    return BiasReport(scenario, *means, *ses, retries=sum(columns[4]))
+           for col, mean in zip(columns, means)]
+    return BiasReport(scenario, *means, *ses)

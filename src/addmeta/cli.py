@@ -1,8 +1,8 @@
 """Command-line surface: effect sizes, pooling, bias study, OR recovery.
 
-Every successful run writes a JSON manifest of its parsed options next to
-the output file; both are written whole or not at all.  The same command
-with the same inputs reproduces the output byte for byte.
+Every successful run writes a JSON manifest of its parsed options and of the
+addmeta, numpy and Python versions next to the output file, both whole or not
+at all.  The same command, inputs and numpy reproduce the output byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-from . import io
+import numpy as np
+
+from . import __version__, io
 from ._rng import EFFECT_STUDY, derive_seed
 from .bias_study import full_grid, run_scenario
 from .effects import crude_effect
@@ -51,6 +53,7 @@ def _write_manifest(args) -> None:
         "options": options,
         "output": str(args.output),
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "versions": {"addmeta": __version__, "numpy": np.__version__, "python": sys.version.split()[0]},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
     io.write_atomic(str(args.output) + ".manifest.json", lambda handle: handle.write(text))

@@ -155,7 +155,7 @@ def test_criterion_5a_crude_slope_vs_literal_ols():
         means = rng.uniform(-100, 100, 3)
         summary = StudySummary("r", tuple(means), tuple(rng.uniform(0.1, 10, 3)),
                                tuple(int(v) for v in rng.integers(2, 1000, 3)))
-        beta, _ = crude_beta(summary)
+        beta, _ = crude_beta(summary.m, summary.sd, summary.n)
         slope = np.polyfit(codes, means, 1)[0]
         worst = max(worst, abs(beta - slope) / max(abs(slope), 1e-30))
     report("criterion 5a (crude slope closed form vs literal OLS)",

@@ -10,8 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from addmeta import bias_study, simulate
 from addmeta._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
@@ -20,7 +18,6 @@ from addmeta.bias_study import (
     N_TRIPLETS,
     PERTURB_SD,
     Scenario,
-    _crude_ds,
     _replicate,
     perturb_study_params,
     run_scenario,
@@ -29,6 +26,7 @@ from addmeta.bias_study import (
 from addmeta.effects import StudySummary, crude_effect, effect_from_d
 from addmeta.pooling import pool_random_effects
 from addmeta.simulate import DegenerateSampleError, SimConfig, _Design, sim_effect
+from test_effects import reference_crude
 
 # a fixed stream key per density: str hashes are salted per process
 DENSITY_KEYS = {"f1": 1, "f2": 2, "f3": 3, "f4": 4}
@@ -227,21 +225,6 @@ class TestRunScenario:
         assert report.bias_gwm_sim == report.bias_gwm_crude
         assert report.bias_g_crude > 0.0
 
-    def test_degenerate_replicates_are_retried_and_counted(self, monkeypatch):
-        calls = {"n": 0}
-        draw_fits = bias_study.draw_fits
-
-        def flaky(*args):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise DegenerateSampleError("injected")
-            return draw_fits(*args)
-
-        monkeypatch.setattr(bias_study, "draw_fits", flaky)
-        report = run_scenario(SMALL)
-        assert report.retries == 1
-        assert math.isfinite(report.bias_gwm_sim)
-
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_bit_identical_across_worker_counts(self, workers, monkeypatch):
         started = []
@@ -322,7 +305,7 @@ class TestRunScenario:
         monkeypatch.setattr(bias_study, "draw_fits", degenerate_in_helpers)
         threads = threading.active_count()
         # shard 1 of 2 starts at replicate 1
-        with pytest.raises(DegenerateSampleError, match="^replicate 1 of scenario .* degenerate after 32"):
+        with pytest.raises(DegenerateSampleError, match="^injected$"):
             run_scenario(SMALL, workers=2)
         assert threading.active_count() == threads
 
@@ -346,7 +329,8 @@ class TestRunScenario:
             run_scenario(SMALL, workers=2)
         assert raised_in[-1] is not threading.current_thread()
         assert str(parallel.value) == str(serial.value)
-        assert str(serial.value).startswith("study2: the simulated fits leave the floating-point range")
+        assert str(serial.value).startswith(
+            "replicate 1, study2: the simulated fits leave the floating-point range")
         assert np.geterr() == errors
 
     @pytest.mark.parametrize("outcome", ["interrupt", "success", "failure"])
@@ -364,7 +348,7 @@ class TestRunScenario:
             time.sleep(0.05)
             if outcome == "failure" and rep == 3:
                 raise DegenerateSampleError("injected")
-            return (0.0, 0.0, 0.0, 0.0, 0)
+            return (0.0, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(bias_study, "_replicate", slow)
         scenario = dataclasses.replace(SMALL, mc_reps=200 if outcome == "interrupt" else 8)
@@ -450,40 +434,35 @@ def _reference_fit(groups):
 
 
 def _reference_replicate(scenario, rep):
-    """A replicate scored one study at a time: each study's truth fit and d-to-g on its own."""
+    """A replicate scored one study at a time: each study's truth fit, crude formula and d-to-g on its own."""
     density = DENSITIES[scenario.density]
     n_triplet = scenario.n_triplet
-    for attempt in range(bias_study.MAX_REPLICATE_RETRIES):
-        try:
-            means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, scenario.n_studies,
-                                              substream(scenario.seed, MC_PARAMS, rep, attempt))
-            studies = []  # one (truth, crude, simulation) effect triple per study
-            for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
-                rng_data = substream(scenario.seed, MC_DATA, rep, attempt, i)
-                groups = [bias_study.sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
-                          for k in range(3)]
-                beta, sd_beta, d = _reference_fit(groups)
-                summary = StudySummary(f"study{i + 1}", m, sd, n_triplet)
-                config = SimConfig(iterations=scenario.inner_iterations,
-                                   seed=derive_seed(scenario.seed, MC_INNER, rep, attempt, i))
-                studies.append((
-                    effect_from_d(summary.study_id, beta, sd_beta, d, n_triplet, "crude"),
-                    crude_effect(summary, standardizer="pair-mean"),
-                    sim_effect(summary, config),
-                ))
-            gwm_true, gwm_crude, gwm_sim = (
-                pool_random_effects([(e.g, e.v_g) for e in column]).g_wm for column in zip(*studies)
-            )
-            return (
-                math.fsum(abs(truth.g - crude.g) for truth, crude, _ in studies) / len(studies),
-                abs(gwm_true - gwm_crude),
-                math.fsum(abs(truth.g - sim.g) for truth, _, sim in studies) / len(studies),
-                abs(gwm_true - gwm_sim),
-                attempt,
-            )
-        except DegenerateSampleError:
-            continue
-    raise DegenerateSampleError("reference replicate degenerate")
+    means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, scenario.n_studies,
+                                      substream(scenario.seed, MC_PARAMS, rep, 0))
+    studies = []  # one (truth, crude, simulation) effect triple per study
+    for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
+        rng_data = substream(scenario.seed, MC_DATA, rep, 0, i)
+        groups = [bias_study.sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
+                  for k in range(3)]
+        beta, sd_beta, d = _reference_fit(groups)
+        crude_slope, crude_sd = reference_crude(m, sd, n_triplet)
+        summary = StudySummary(f"study{i + 1}", m, sd, n_triplet)
+        config = SimConfig(iterations=scenario.inner_iterations,
+                           seed=derive_seed(scenario.seed, MC_INNER, rep, 0, i))
+        studies.append((
+            effect_from_d(summary.study_id, beta, sd_beta, d, n_triplet, "crude"),
+            effect_from_d(summary.study_id, crude_slope, crude_sd, crude_slope / crude_sd, n_triplet, "crude"),
+            sim_effect(summary, config),
+        ))
+    gwm_true, gwm_crude, gwm_sim = (
+        pool_random_effects([(e.g, e.v_g) for e in column]).g_wm for column in zip(*studies)
+    )
+    return (
+        math.fsum(abs(truth.g - crude.g) for truth, crude, _ in studies) / len(studies),
+        abs(gwm_true - gwm_crude),
+        math.fsum(abs(truth.g - sim.g) for truth, _, sim in studies) / len(studies),
+        abs(gwm_true - gwm_sim),
+    )
 
 
 class TestStackedReplicate:
@@ -494,42 +473,6 @@ class TestStackedReplicate:
                             n_triplet=n_triplet, inner_iterations=40, seed=23)
         for rep in range(2):
             assert _replicate(scenario, rep) == _reference_replicate(scenario, rep)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        studies=st.lists(st.tuples(st.tuples(*[st.floats(-1e50, 1e50)] * 3),
-                                   st.tuples(*[st.floats(1e-50, 1e50)] * 3)), min_size=1, max_size=15),
-        n=st.tuples(*[st.integers(2, 10**6)] * 3),
-    )
-    def test_crude_row_equals_crude_effect_bit_for_bit(self, studies, n):
-        means = np.array([m for m, _ in studies]).T
-        sds = np.array([sd for _, sd in studies]).T
-        row = _crude_ds(means, sds, n).tolist()
-        assert row == [crude_effect(StudySummary("s", m, sd, n), standardizer="pair-mean").d
-                       for m, sd in studies]
-
-    def test_crude_row_squares_sds_as_pooled_sd_does(self):
-        # numpy's s * s and Python's s ** 2 round these SDs differently
-        sds = [s for s in np.random.default_rng(3).uniform(0.5, 9.0, 20_000).tolist() if s * s != s**2][:3]
-        if len(sds) < 3:
-            pytest.skip("this libm's pow(s, 2) rounds as s * s does")
-        means, n = np.array([[4.0], [5.5], [7.0]]), (10, 15, 5)
-        assert _crude_ds(means, np.array(sds)[:, None], n)[0] == crude_effect(
-            StudySummary("s", (4.0, 5.5, 7.0), sds, n)).d
-
-    @pytest.mark.parametrize("which, index, value, message", [
-        (0, (1, 2), math.nan, "study3: means and SDs must be finite"),
-        (1, (0, 3), 1e200, "study4: all standard deviations must be > 0"),
-    ], ids=["nan-mean", "huge-sd"])
-    def test_drawn_parameters_get_study_summary_checks(self, which, index, value, message, monkeypatch):
-        def perturbed(*args):
-            params = perturb_study_params(*args)  # (means, sds)
-            params[which][index] = value
-            return params
-
-        monkeypatch.setattr(bias_study, "perturb_study_params", perturbed)
-        with pytest.raises(ValueError, match=message):
-            _replicate(SMALL, 0)
 
     def test_simulation_out_of_float_range_names_the_study(self, monkeypatch):
         draw_fits = bias_study.draw_fits
@@ -543,21 +486,6 @@ class TestStackedReplicate:
                                           substream(SMALL.seed, MC_PARAMS, 0, 0))
         studies = sds.T.tolist()
         monkeypatch.setattr(bias_study, "draw_fits", overflowing_second_study)
-        with pytest.raises(ValueError, match=r"^study2: the simulated fits leave the floating-point range "
-                                             r"\(overflow encountered in .*\)$"):
+        with pytest.raises(ValueError, match=r"^replicate 0, study2: the simulated fits leave the "
+                                             r"floating-point range \(overflow encountered in .*\)$"):
             _replicate(SMALL, 0)
-
-    def test_degenerate_study_retries_the_replicate(self, monkeypatch):
-        # study 2 of attempt 0 draws constant, equal groups: its truth fit has sd 0
-        calls = {"n": 0}
-
-        def constant_second_study(density, n, target_mean, target_sd, rng):
-            calls["n"] += 1
-            x = sample_standardized(density, n, target_mean, target_sd, rng)
-            return np.full(n, 3.0) if 4 <= calls["n"] <= 6 else x
-
-        monkeypatch.setattr(bias_study, "sample_standardized", constant_second_study)
-        row = _replicate(SMALL, 0)
-        calls["n"] = 0
-        assert row == _reference_replicate(SMALL, 0)
-        assert row[4] == 1

@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import platform
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import addmeta
 from addmeta import bias_study
 from addmeta.bias_study import (
     DENSITIES,
@@ -18,7 +21,9 @@ from addmeta.bias_study import (
     full_grid,
 )
 from addmeta.cli import main
+from addmeta._rng import MC_INNER, derive_seed
 from addmeta.odds_recovery import ORRecord, combine_reported_ors
+from addmeta.simulate import DegenerateSampleError
 
 
 DATA = Path(__file__).parent / "data"
@@ -154,6 +159,13 @@ class TestEffectCommand:
         assert manifest["command"] == "effect"
         assert manifest["options"]["method"] == "crude"
         assert manifest["options"]["standardizer"] == "pooled"
+
+    def test_manifest_records_the_versions(self, table2_csv, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["effect", str(table2_csv), "-o", str(out)]) == 0
+        versions = json.loads((tmp_path / "c.csv.manifest.json").read_text())["versions"]
+        assert versions == {"addmeta": addmeta.__version__, "numpy": np.__version__,
+                            "python": platform.python_version()}
 
     def test_precision_flag(self, table2_csv, tmp_path):
         out = tmp_path / "p.csv"
@@ -321,7 +333,7 @@ class TestMcCommand:
 
         def failing_in_helpers(scenario, rep):
             if threading.current_thread() is not caller:
-                raise bias_study.DegenerateSampleError(f"replicate {rep} of scenario injected")
+                raise DegenerateSampleError(f"replicate {rep} of scenario injected")
             return replicate(scenario, rep)
 
         monkeypatch.setattr(bias_study, "_replicate", failing_in_helpers)
@@ -334,6 +346,29 @@ class TestMcCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1 and "replicate 1 of scenario" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
         assert threading.active_count() == threads
+
+    def test_overflow_in_a_replicate_exits_1_naming_it_at_any_worker_count(self, tmp_path, monkeypatch, capfd):
+        draw_fits = bias_study.draw_fits
+        overflowing = derive_seed(9, MC_INNER, 1, 0, 1)  # study 2 of replicate 1
+
+        def overflowing_study(m, sd, n, iterations, seed):
+            if seed == overflowing:
+                np.float64(1e300) * np.float64(1e300)  # raises only under the replicate's np.errstate
+            return draw_fits(m, sd, n, iterations, seed)
+
+        monkeypatch.setattr(bias_study, "draw_fits", overflowing_study)
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 1.0,
+                                      "n_triplet": [10, 15, 5], "mc_reps": 4, "inner_iterations": 20,
+                                      "seed": 9}))
+        errors = []
+        for workers in ("1", "2"):
+            assert main(["mc", str(config), "--workers", workers, "-o", str(tmp_path / "o.csv")]) == 1
+            errors.append(capfd.readouterr().err)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: replicate 1, study2: the simulated fits leave the floating-point "
+                                    "range (overflow encountered in ") and len(errors[0].splitlines()) == 1
 
     def test_full_grid_enumerates_every_cell(self):
         scenarios = full_grid(mc_reps=2, inner_iterations=2, seed=0)
@@ -481,6 +516,11 @@ class TestExtremeInputs:
          STUDY_HEADER + "A,4,5.5,7,1e200,1e200,1e200,10,15,5\n", SD_RANGE),
         (["effect"], "in.csv", STUDY_HEADER + "A,-1e300,0,1e300,1e-10,1e-10,1e-10,10,15,5\n",
          "A: the additive effect leaves the floating-point range"),
+        (["effect", "--standardizer", "pair-mean"], "in.csv",
+         STUDY_HEADER + "A,-1.5e308,0,1.5e308,1,1,1,10,15,5\n",
+         "A: the additive effect leaves the floating-point range"),
+        (["effect"], "in.csv", STUDY_HEADER + "A,4,5.5,7,1e150,1e150,1e150,100000000000,15,5\n",
+         "A: the additive effect leaves the floating-point range"),
         (["effect", "--method", "sim"], "in.csv",
          STUDY_HEADER + "A,-1e300,0,1e300,1e-10,1e-10,1e-10,10,15,5\n",
          "A: the simulated fits leave the floating-point range"),
@@ -495,8 +535,9 @@ class TestExtremeInputs:
         (["meta"], "e.csv", "study_id,g,v_g\nA,-1e300,1\nB,1e300,1\n",
          "e.csv: no finite pooled estimate of 2 effects"),
     ], ids=["crude-tiny-sd", "crude-huge-sd", "sim-tiny-sd", "sim-huge-sd", "crude-infinite-d",
-            "sim-infinite-d", "meta-subnormal-v", "meta-single-subnormal-v", "meta-weight-sum-overflow",
-            "meta-squared-weight-overflow", "meta-q-overflow"])
+            "crude-infinite-slope", "crude-infinite-variance", "sim-infinite-d", "meta-subnormal-v",
+            "meta-single-subnormal-v", "meta-weight-sum-overflow", "meta-squared-weight-overflow",
+            "meta-q-overflow"])
     def test_exits_1_with_one_error_line_and_no_output(self, argv, name, text, message, tmp_path, capsys):
         src = tmp_path / name
         src.write_text(text)

@@ -15,12 +15,26 @@ from addmeta.effects import (
     crude_effect,
     effect_from_d,
     hedges_j,
-    pooled_sd,
 )
 
 SATIETY = StudySummary("SATIETY", (11.45, 12.16, 14.73), (8.29, 8.38, 9.63), (63, 63, 42))
 EUFEST = StudySummary("EUFEST", (4.04, 5.35, 4.67), (5.11, 5.88, 6.44), (74, 40, 9))
 ZHH = StudySummary("ZHH-FE", (3.24, 2.44, 3.64), (2.11, 1.23, 2.42), (25, 24, 21))
+
+
+def reference_pooled_sd(*groups):
+    """The SD pooled over (sd, n) groups, sqrt(sum (n-1) sd^2 / (sum n - groups)), in Python floats."""
+    return math.sqrt(sum((n - 1) * sd**2 for sd, n in groups) / (sum(n for _, n in groups) - len(groups)))
+
+
+def reference_crude(m, sd, n, standardizer="pair-mean"):
+    """One study's crude (beta, sd_beta), written out from the published formulas."""
+    beta = (m[2] - m[0]) / 2.0
+    if standardizer == "pooled":
+        return beta, reference_pooled_sd(*zip(sd, n))
+    sd12 = reference_pooled_sd((sd[0], n[0]), (sd[1], n[1]))
+    sd23 = reference_pooled_sd((sd[1], n[1]), (sd[2], n[2]))
+    return beta, (sd12 + sd23) / 2.0
 
 
 class TestStudySummary:
@@ -65,54 +79,36 @@ class TestStudySummary:
             SATIETY.m = (0, 0, 0)
 
 
-class TestPooledSd:
+class TestReferencePooledSd:
     def test_satiety_pair(self):
         # ((63-1)*8.29^2 + (63-1)*8.38^2) / 124, computed by hand
-        assert pooled_sd(8.29, 63, 8.38, 63) == pytest.approx(8.3351215, abs=1e-6)
+        assert reference_pooled_sd((8.29, 63), (8.38, 63)) == pytest.approx(8.3351215, abs=1e-6)
 
     def test_eufest_pair(self):
         # ((74-1)*5.11^2 + (40-1)*5.88^2) / 112 = 29.058794...
-        assert pooled_sd(5.11, 74, 5.88, 40) == pytest.approx(math.sqrt(29.0587937), abs=1e-6)
+        assert reference_pooled_sd((5.11, 74), (5.88, 40)) == pytest.approx(math.sqrt(29.0587937), abs=1e-6)
 
     def test_identical_groups_return_s(self):
-        assert pooled_sd(3.7, 50, 3.7, 50) == pytest.approx(3.7, rel=1e-15)
-
-    @given(
-        sd_a=st.floats(0.01, 50),
-        n_a=st.integers(2, 500),
-        sd_b=st.floats(0.01, 50),
-        n_b=st.integers(2, 500),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_symmetry_exact(self, sd_a, n_a, sd_b, n_b):
-        assert pooled_sd(sd_a, n_a, sd_b, n_b) == pooled_sd(sd_b, n_b, sd_a, n_a)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            pooled_sd(1.0, 0, 1.0, 5)
-        with pytest.raises(ValueError):
-            pooled_sd(-1.0, 5, 1.0, 5)
-        with pytest.raises(ValueError):
-            pooled_sd(1.0, 1, 1.0, 1)
+        assert reference_pooled_sd((3.7, 50), (3.7, 50)) == pytest.approx(3.7, rel=1e-15)
 
 
 class TestCrudeBeta:
     def test_flat_means_zero_slope(self):
         summary = StudySummary("flat", (5, 5, 5), (1, 2, 3), (10, 10, 10))
-        beta, _ = crude_beta(summary)
+        beta, _ = crude_beta(summary.m, summary.sd, summary.n)
         assert beta == 0.0
 
     def test_anchor_scenario_slope(self):
         summary = StudySummary("anchor", (4, 5.5, 7), (1, 1, 1), (10, 10, 10))
-        assert crude_beta(summary)[0] == pytest.approx(1.5, rel=1e-15)
+        assert crude_beta(summary.m, summary.sd, summary.n)[0] == pytest.approx(1.5, rel=1e-15)
 
     def test_satiety_pair_mean(self):
-        beta, sd_beta = crude_beta(SATIETY, "pair-mean")
+        beta, sd_beta = crude_beta(SATIETY.m, SATIETY.sd, SATIETY.n, "pair-mean")
         assert beta == pytest.approx(1.64, abs=1e-12)
         assert sd_beta == pytest.approx(8.6168777, abs=1e-6)
 
     def test_satiety_pooled_matches_published(self):
-        beta, sd_beta = crude_beta(SATIETY, "pooled")
+        beta, sd_beta = crude_beta(SATIETY.m, SATIETY.sd, SATIETY.n, "pooled")
         assert beta == pytest.approx(1.625, abs=0.03)
         assert sd_beta == pytest.approx(8.675, abs=0.03)
 
@@ -123,7 +119,7 @@ class TestCrudeBeta:
             means = rng.uniform(-50, 50, size=3)
             slope = np.polyfit(codes, means, 1)[0]
             summary = StudySummary("r", tuple(means), tuple(rng.uniform(0.1, 9, 3)), (5, 6, 7))
-            beta, _ = crude_beta(summary)
+            beta, _ = crude_beta(summary.m, summary.sd, summary.n)
             assert beta == pytest.approx(slope, rel=1e-12, abs=1e-12)
 
     def test_slope_invariant_to_code_origin(self):
@@ -134,9 +130,38 @@ class TestCrudeBeta:
             s012 = np.polyfit([0, 1, 2], means, 1)[0]
             assert s123 == pytest.approx(s012, rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        studies=st.lists(st.tuples(st.tuples(*[st.floats(-1e50, 1e50)] * 3),
+                                   st.tuples(*[st.floats(1e-50, 1e50)] * 3)), min_size=1, max_size=15),
+        n=st.tuples(*[st.integers(2, 10**6)] * 3),
+        standardizer=st.sampled_from(["pair-mean", "pooled"]),
+    )
+    def test_one_study_and_every_row_equal_the_reference_bit_for_bit(self, studies, n, standardizer):
+        expected = [reference_crude(m, sd, n, standardizer) for m, sd in studies]
+        assert [crude_beta(m, sd, n, standardizer) for m, sd in studies] == expected
+        beta, sd_beta = crude_beta(np.array([m for m, _ in studies]).T, np.array([sd for _, sd in studies]).T,
+                                   n, standardizer)
+        assert list(zip(beta.tolist(), sd_beta.tolist())) == expected
+
+    @pytest.mark.parametrize("standardizer", ["pair-mean", "pooled"])
+    def test_sds_are_squared_as_python_floats(self, standardizer):
+        # numpy's s * s and Python's s ** 2 round these SDs differently; squaring
+        # them with s * s changes sd_beta in 5 of these 14 studies
+        sds = [s for s in np.random.default_rng(3).uniform(0.5, 9.0, 20_000).tolist() if s * s != s**2]
+        if not sds:
+            pytest.skip("this libm's pow(s, 2) rounds as s * s does")
+        sd, n = np.array([sds, sds[1:] + sds[:1], sds[2:] + sds[:2]]), (10, 15, 5)
+        m = np.array([[4.0], [5.5], [7.0]]).repeat(len(sds), axis=1)
+        studies = list(zip(m.T.tolist(), sd.T.tolist()))
+        expected = [reference_crude(m_i, sd_i, n, standardizer) for m_i, sd_i in studies]
+        assert [crude_beta(m_i, sd_i, n, standardizer) for m_i, sd_i in studies] == expected
+        beta, sd_beta = crude_beta(m, sd, n, standardizer)
+        assert list(zip(beta.tolist(), sd_beta.tolist())) == expected
+
     def test_unknown_standardizer(self):
         with pytest.raises(ValueError, match="standardizer"):
-            crude_beta(SATIETY, "median")
+            crude_beta(SATIETY.m, SATIETY.sd, SATIETY.n, "median")
 
 
 class TestCohensDVariance:
