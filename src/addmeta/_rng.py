@@ -2,9 +2,10 @@
 
 Every stochastic routine in this package draws from a generator obtained
 through :func:`substream`, keyed by the user seed plus a fixed stream tag
-and structural indices (replicate, study).  A stream is therefore a
+and structural indices (replicate, study id).  A stream is therefore a
 pure function of its keys: results do not depend on execution order or on
-how work is split across workers.
+how work is split across workers.  Generators run numpy's SFC64 bit
+generator, which draws normals and gammas faster than its default PCG64.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _entropy(keys) -> np.ndarray:
 
 def substream(*keys: int) -> np.random.Generator:
     """Return a generator whose state is a pure function of ``keys``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=_entropy(keys)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=_entropy(keys))))
 
 
 def derive_seed(*keys: int) -> int:

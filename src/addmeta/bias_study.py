@@ -8,9 +8,9 @@ The protocol, per replicate of a scenario:
 2. draw original individual data for each study from a shape density
    (normal, strongly right-skewed, asymmetric bimodal, or kurtotic normal
    mixture), affinely standardized so each group matches its drawn mean/SD;
-3. fit the additive regression to the original data: each study draws its
-   data from its own substream into row i of three (L, n_k) blocks, and one
-   stacked fit gives every study's "true" d;
+3. fit the additive regression to the original data: each group's data for
+   all L studies is one (L, n_k) block, row i for study i, and one stacked
+   fit gives every study's "true" d;
 4. hand the reported parameters - not the sample statistics - to the crude
    estimator (pair-mean standardizer) and to the simulation estimator; their
    d's and the true d's are the rows of one (3, L) array;
@@ -18,9 +18,10 @@ The protocol, per replicate of a scenario:
    each estimator's mean absolute per-study difference |g_true - g_est| and
    absolute pooled difference |gWM_true - gWM_est|.
 
-Biases are averaged across replicates; Monte Carlo standard errors come
-from the replicate-level spread.  Everything is deterministic given
-(scenario, seed) at any worker count.
+A replicate draws steps 1, 2 and 4 from three generators keyed by (seed,
+replicate); step 4's studies draw from theirs in turn.  Biases are averaged
+across replicates; Monte Carlo standard errors come from the replicate-level
+spread.  Everything is deterministic given (scenario, seed) at any worker count.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
+from ._rng import MC_DATA, MC_INNER, MC_PARAMS, substream
 from .effects import crude_beta, pairwise_g
 from .pooling import pool_random_effects
-from .simulate import DEFAULT_SEED, additive_fit_rows, draw_fits, range_error
+from .simulate import DEFAULT_SEED, DegenerateSampleError, additive_fit_rows, draw_fits, range_error
 
 # Scenario grid.
 STUDY_COUNTS = (5, 10, 15)
@@ -88,13 +89,13 @@ class MixtureDensity:
         object.__setattr__(self, "analytic_mean", mean)
         object.__setattr__(self, "analytic_var", var)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` values from the raw (unstandardized) mixture."""
+    def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        """Draw an array of shape ``size`` from the raw (unstandardized) mixture."""
         if len(self.components) == 1:
-            return rng.normal(self._mu[0], self._sigma[0], size=n)
-        # rng.choice(len(w), size=n, p=w) draws this stream, less its per-call checks
-        idx = self._cdf.searchsorted(rng.random(n), side="right")
-        return rng.standard_normal(n) * self._sigma[idx] + self._mu[idx]
+            return rng.normal(self._mu[0], self._sigma[0], size=size)
+        # rng.choice(len(w), size=size, p=w) draws this stream, less its per-call checks
+        idx = self._cdf.searchsorted(rng.random(size), side="right")
+        return rng.standard_normal(size) * self._sigma[idx] + self._mu[idx]
 
 
 def _skewed_components() -> tuple[tuple[float, float, float], ...]:
@@ -109,23 +110,20 @@ DENSITIES: dict[str, MixtureDensity] = {
 }
 
 
-def sample_standardized(
-    density: MixtureDensity,
-    n: int,
-    target_mean: float,
-    target_sd: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def sample_standardized(density: MixtureDensity, n: int, target_mean: float | np.ndarray,
+                        target_sd: float | np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw from ``density`` affinely rescaled to the target mean and SD.
 
-    The shape (skewness, kurtosis) of the mixture is preserved; only its
-    first two population moments are moved onto the targets.
+    Float targets give ``n`` draws; (L, 1) targets give an (L, n) block
+    whose row i is rescaled to ``target_mean[i]`` and ``target_sd[i]``.  The
+    shape (skewness, kurtosis) of the mixture is preserved; only its first
+    two population moments are moved onto the targets.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if target_sd <= 0:
-        raise ValueError(f"target_sd must be > 0, got {target_sd}")
-    x = density.sample(n, rng)
+    if np.min(target_sd) <= 0:
+        raise ValueError(f"target_sd must be > 0, got {np.min(target_sd)}")
+    x = density.sample(np.broadcast_shapes(np.shape(target_mean), np.shape(target_sd), (n,)), rng)
     z = (x - density.analytic_mean) / math.sqrt(density.analytic_var)
     return target_mean + target_sd * z
 
@@ -229,30 +227,25 @@ class BiasReport:
 
 def _replicate(scenario: Scenario, rep: int):
     """One replicate: (bias_g_crude, bias_gwm_crude, bias_g_sim, bias_gwm_sim)."""
-    density = DENSITIES[scenario.density]
     n_triplet, n_studies = scenario.n_triplet, scenario.n_studies
     # each stream key keeps a 0 where an older protocol numbered redrawn replicates
-    rng_params = substream(scenario.seed, MC_PARAMS, rep, 0)
+    rng_params, rng_data, rng_inner = (substream(scenario.seed, tag, rep, 0)
+                                       for tag in (MC_PARAMS, MC_DATA, MC_INNER))
     means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, n_studies, rng_params)
-    studies = list(enumerate(zip(means.T.tolist(), sds.T.tolist())))
-    blocks = [np.empty((n_studies, n_k)) for n_k in n_triplet]
-    for i, (m, sd) in studies:
-        rng_data = substream(scenario.seed, MC_DATA, rep, 0, i)
-        for k in range(3):
-            blocks[k][i] = sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
+    blocks = [sample_standardized(DENSITIES[scenario.density], n_k, means[k, :, None], sds[k, :, None],
+                                  rng_data) for k, n_k in enumerate(n_triplet)]
     ds = np.empty((3, n_studies))  # rows: truth, crude, simulation
     ds[0] = additive_fit_rows(blocks)[2]
     beta, sd_beta = crude_beta(means, sds, n_triplet)
     ds[1] = beta / sd_beta
-    # each study's d is the mean of its per-draw d's, as in sim_effect
+    # each study's d is the mean of its per-draw d's, as in sim_effect; the studies draw in turn
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for i, (m, sd) in studies:
-                inner_seed = derive_seed(scenario.seed, MC_INNER, rep, 0, i)
-                draws = draw_fits(m, sd, n_triplet, scenario.inner_iterations, inner_seed)[2]
+            for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
+                draws = draw_fits(m, sd, n_triplet, scenario.inner_iterations, rng_inner)[2]
                 ds[2, i] = float(draws.sum()) / draws.size
     except (FloatingPointError, ZeroDivisionError) as exc:
-        raise range_error(f"replicate {rep}, study{i + 1}", exc) from None
+        raise range_error(f"study{i + 1}", exc) from None
     gs, vs = pairwise_g(ds, n_triplet)
     gwm = [pool_random_effects(list(zip(g, v))).g_wm for g, v in zip(gs.tolist(), vs.tolist())]
     # per-study and pooled differences of the crude (row 1) and simulation (row 2) estimates
@@ -286,9 +279,11 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     calling thread computes replicates 0, W, 2W, ... and a helper thread per
     further shard j computes j, j + W, ..., where W is ``workers`` capped at
     the replicate count.  A failing run raises the exception of its lowest
-    failing replicate once every shard has reported.  Any exit of the calling
-    thread, an interrupt included, stops the helpers within one replicate and
-    joins them.  The result, or the error raised, is the same at any worker count.
+    failing replicate once every shard has reported (a ValueError or a
+    DegenerateSampleError names the scenario cell and replicate first).  Any
+    exit of the calling thread, an interrupt included, stops the helpers
+    within one replicate and joins them.  The result, or the error raised,
+    is the same at any worker count.
     """
     reps = scenario.mc_reps
     shards = min(workers, reps)
@@ -316,7 +311,12 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
         raise RuntimeError(f"bias-study worker {results.index(None)} ended without its replicates")
     failures = [failure for _, failure in results if failure is not None]
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]  # the lowest failing replicate
+        rep, exc = min(failures, key=lambda failure: failure[0])  # the lowest failing replicate
+        if type(exc) in (ValueError, DegenerateSampleError):
+            raise type(exc)(f"scenario density={scenario.density}, L={scenario.n_studies}, "
+                            f"mean_vec={scenario.mean_vec}, sigma_ws={scenario.sigma_ws}, "
+                            f"n_triplet={scenario.n_triplet}, replicate {rep}: {exc}") from exc
+        raise exc
     rows = [None] * reps
     for j, (shard_rows, _) in enumerate(results):
         rows[j::shards] = shard_rows

@@ -17,9 +17,9 @@ N(m_k, sd_k^2 / n_k), so beta and c are jointly normal, and its SSE is an
 independent sd_k^2 * chi-square(n_k - 1), a gamma with shape (n_k - 1) / 2
 and scale 2 sd_k^2.  Each iteration therefore draws two correlated normals
 (slope and curvature) and one scaled gamma per group instead of N
-individuals; the estimate has the same distribution.  All iterations of a
-study draw from one random substream keyed by the seed.  The contrast
-weights depend only on the group sizes, so each n-triplet builds them once.
+individuals; the estimate has the same distribution.  A study's iterations
+draw from one generator.  The contrast weights depend only on the group
+sizes, so each n-triplet builds them once.
 """
 
 from __future__ import annotations
@@ -106,16 +106,15 @@ def additive_regression(groups: Sequence[np.ndarray]) -> tuple[float, float, flo
 
 
 def draw_fits(m: Sequence[float], sd: Sequence[float], n: tuple[int, int, int], iterations: int,
-              seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-iteration slope, residual sd and d of one study's regenerated datasets.
 
     ``m``, ``sd`` and ``n`` are the study's three group means, SDs and sizes,
-    valid as ``StudySummary`` checks them; the draws come from the substream
-    keyed by ``seed``.  (slope, curvature) is its mean plus its covariance's
-    Cholesky factor times one (2, iterations) normal block; then one gamma
-    SSE run per group.  Run it under ``np.errstate(over="raise",
-    invalid="raise", divide="raise")`` to catch draws that leave the
-    floating-point range.
+    valid as ``StudySummary`` checks them; the draws come from ``rng``.
+    (slope, curvature) is its mean plus its covariance's Cholesky factor
+    times one (2, iterations) normal block; then one gamma SSE run per
+    group.  Run it under ``np.errstate(over="raise", invalid="raise",
+    divide="raise")`` to catch draws that leave the floating-point range.
     """
     design = _design(n)
     # the moments in plain floats, in the order numpy's 3-element products and sums take
@@ -129,7 +128,6 @@ def draw_fits(m: Sequence[float], sd: Sequence[float], n: tuple[int, int, int], 
     # plain floats overflow silently where numpy's would raise under np.errstate
     if not all(map(math.isfinite, (beta_sd, cross, rest, beta_mean, curvature_mean))):
         raise FloatingPointError("overflow encountered in the moments of the group means")
-    rng = substream(seed, SIM_DRAWS)
     z, curvature = rng.standard_normal((2, iterations))
     rss = sum(rng.gamma((k - 1.0) / 2.0, 2.0 * v, iterations) for k, v in zip(n, var))
     curvature *= rest
@@ -166,7 +164,8 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
     try:
         # an overflow, a 0/0 or a zero slope SD raises here instead of writing inf or nan
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            betas, sds, ds = draw_fits(summary.m, summary.sd, summary.n, n_iter, config.seed)
+            betas, sds, ds = draw_fits(summary.m, summary.sd, summary.n, n_iter,
+                                       substream(config.seed, SIM_DRAWS))
             # ndarray.sum and a division give numpy's mean() and std(ddof=1) bit for bit, less wrappers
             d = float(ds.sum()) / n_iter
             ds -= d

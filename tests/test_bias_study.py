@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from addmeta import bias_study, simulate
-from addmeta._rng import MC_DATA, MC_INNER, MC_PARAMS, derive_seed, substream
+from addmeta import _rng, bias_study, cli, simulate
+from addmeta._rng import MC_DATA, MC_INNER, MC_PARAMS, substream
 from addmeta.bias_study import (
     DENSITIES,
     N_TRIPLETS,
@@ -25,7 +25,7 @@ from addmeta.bias_study import (
 )
 from addmeta.effects import StudySummary, crude_effect, effect_from_d
 from addmeta.pooling import pool_random_effects
-from addmeta.simulate import DegenerateSampleError, SimConfig, _Design, sim_effect
+from addmeta.simulate import DegenerateSampleError, _Design, draw_fits
 from test_effects import reference_crude
 
 # a fixed stream key per density: str hashes are salted per process
@@ -118,6 +118,33 @@ class TestSampleStandardized:
             sample_standardized(DENSITIES["f1"], 0, 0, 1, substream(1))
         with pytest.raises(ValueError):
             sample_standardized(DENSITIES["f1"], 5, 0, 0, substream(1))
+        with pytest.raises(ValueError, match="target_sd must be > 0, got 0.0"):
+            sample_standardized(DENSITIES["f1"], 5, np.zeros((2, 1)), np.array([[1.0], [0.0]]), substream(1))
+
+    @pytest.mark.parametrize("fid", ["f1", "f2", "f3", "f4"])
+    def test_block_rows_equal_the_scalar_formula_bit_for_bit(self, fid):
+        dens, n = DENSITIES[fid], 7
+        target_means, target_sds = [-3.0, 0.0, 4.5, 1e6], [0.1, 1.0, 2.7, 1e-3]
+        block = sample_standardized(dens, n, np.array(target_means)[:, None], np.array(target_sds)[:, None],
+                                    substream(62, DENSITY_KEYS[fid]))
+        raw = dens.sample((4, n), substream(62, DENSITY_KEYS[fid]))
+        assert block.shape == (4, n)
+        for row, x, target_mean, target_sd in zip(block, raw, target_means, target_sds):
+            expected = [target_mean + target_sd * ((v - dens.analytic_mean) / math.sqrt(dens.analytic_var))
+                        for v in x.tolist()]
+            assert row.tolist() == expected
+
+    @pytest.mark.parametrize("fid", ["f1", "f2", "f3", "f4"])
+    def test_block_rows_hit_their_own_targets(self, fid):
+        n = 10**5
+        target_means, target_sds = np.array([[-2.0], [0.5], [7.0]]), np.array([[0.5], [3.0], [1.5]])
+        block = sample_standardized(DENSITIES[fid], n, target_means, target_sds, substream(63, DENSITY_KEYS[fid]))
+        for row, target_mean, target_sd in zip(block, target_means[:, 0], target_sds[:, 0]):
+            mean, sd = float(row.mean()), float(row.std(ddof=1))
+            # the SD's standard error by the delta method: se(var) = sqrt((m4 - var^2) / n), over 2 sd
+            m4 = float(((row - mean) ** 4).mean())
+            assert abs(mean - target_mean) < 4 * sd / math.sqrt(n)
+            assert abs(sd - target_sd) < 4 * math.sqrt((m4 - sd**4) / n) / (2 * sd)
 
 
 class _FakeRng:
@@ -170,10 +197,10 @@ class TestPerturbStudyParams:
         params = _columns(perturb_study_params((4, 5.5, 9), 1.0, 10, substream(314, 1)))
         m0, sd0 = params[0]
         assert m0 == pytest.approx(
-            (4.5557409961603605, 5.862986763548782, 6.814602627164284), rel=1e-12
+            (4.23905021586672, 5.312712439037478, 9.629567524747944), rel=1e-12
         )
         assert sd0 == pytest.approx(
-            (1.5065889424148071, 2.8480494883204535, 4.941400697339425), rel=1e-12
+            (2.4868751615758855, 2.305163916977293, 1.1089548593326355), rel=1e-12
         )
 
     def test_rejects_zero_studies(self):
@@ -210,11 +237,20 @@ class TestScenarioValidation:
 
 SMALL = Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
                  n_triplet=(10, 15, 5), mc_reps=6, inner_iterations=60, seed=77)
+# the prefix run_scenario gives the error of a failing replicate of SMALL
+SMALL_CELL = "scenario density=f1, L=5, mean_vec=(4.0, 5.5, 7.0), sigma_ws=5.0, n_triplet=(10, 15, 5), "
+
+
+def _drawn_sds(scenario, rep):
+    """Each study's SD triplet in replicate ``rep``, as the replicate draws them."""
+    _, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, scenario.n_studies,
+                                  substream(scenario.seed, MC_PARAMS, rep, 0))
+    return sds.T.tolist()
 
 
 class TestRunScenario:
     def test_crude_substitution_copies_crude_bias(self, monkeypatch):
-        def crude(m, sd, n, iterations, seed):
+        def crude(m, sd, n, iterations, rng):
             # one draw whose d is the crude d: its mean is that d bit for bit
             d = crude_effect(StudySummary("s", m, sd, n), standardizer="pair-mean").d
             return np.array([0.0]), np.array([1.0]), np.array([d])
@@ -291,7 +327,7 @@ class TestRunScenario:
             messages.append(str(failure.value))
             assert threading.active_count() == threads
         # two workers split the failures across shards: 0, 2, 4 and 1, 3, 5
-        assert messages == ["replicate 1 injected"] * 3
+        assert messages == [SMALL_CELL + "replicate 1: replicate 1 injected"] * 3
 
     def test_helper_exception_is_raised_with_its_type_and_message(self, monkeypatch):
         caller = threading.current_thread()
@@ -305,21 +341,21 @@ class TestRunScenario:
         monkeypatch.setattr(bias_study, "draw_fits", degenerate_in_helpers)
         threads = threading.active_count()
         # shard 1 of 2 starts at replicate 1
-        with pytest.raises(DegenerateSampleError, match="^injected$"):
+        with pytest.raises(DegenerateSampleError) as failure:
             run_scenario(SMALL, workers=2)
+        assert str(failure.value) == SMALL_CELL + "replicate 1: injected"
         assert threading.active_count() == threads
 
     def test_helper_out_of_float_range_raises_the_serial_error(self, monkeypatch):
-        draw_fits = bias_study.draw_fits
         # study 2 of replicate 1, which shard 1 of 2 computes
-        overflowing = derive_seed(SMALL.seed, MC_INNER, 1, 0, 1)
+        overflowing = _drawn_sds(SMALL, 1)[1]
         raised_in = []
 
-        def overflowing_study(m, sd, n, iterations, seed):
-            if seed == overflowing:
+        def overflowing_study(m, sd, n, iterations, rng):
+            if sd == overflowing:
                 raised_in.append(threading.current_thread())
                 np.float64(1e300) * np.float64(1e300)  # raises only under the replicate's np.errstate
-            return draw_fits(m, sd, n, iterations, seed)
+            return draw_fits(m, sd, n, iterations, rng)
 
         errors = np.geterr()
         monkeypatch.setattr(bias_study, "draw_fits", overflowing_study)
@@ -330,7 +366,7 @@ class TestRunScenario:
         assert raised_in[-1] is not threading.current_thread()
         assert str(parallel.value) == str(serial.value)
         assert str(serial.value).startswith(
-            "replicate 1, study2: the simulated fits leave the floating-point range")
+            SMALL_CELL + "replicate 1: study2: the simulated fits leave the floating-point range")
         assert np.geterr() == errors
 
     @pytest.mark.parametrize("outcome", ["interrupt", "success", "failure"])
@@ -411,10 +447,12 @@ class TestRunScenario:
         assert wins >= math.ceil(0.95 * 10)
 
     def test_sim_gwm_bias_decreases_with_sample_size(self):
+        # 200 replicates: at 40 the Monte Carlo SE of each cell (0.007-0.009) exceeded the
+        # expected steps between adjacent n-triplets, so the order rested on chance
         values = []
         for n_triplet in N_TRIPLETS:
             scenario = Scenario(density="f1", n_studies=10, mean_vec=(4, 5.5, 11), sigma_ws=1.0,
-                                n_triplet=n_triplet, mc_reps=40, inner_iterations=400)
+                                n_triplet=n_triplet, mc_reps=200, inner_iterations=400)
             values.append(run_scenario(scenario).bias_gwm_sim)
         inversions = sum(1 for a, b in zip(values, values[1:]) if b > a)
         assert inversions <= 1, values
@@ -439,20 +477,22 @@ def _reference_replicate(scenario, rep):
     n_triplet = scenario.n_triplet
     means, sds = perturb_study_params(scenario.mean_vec, scenario.sigma_ws, scenario.n_studies,
                                       substream(scenario.seed, MC_PARAMS, rep, 0))
+    # one data generator for the three (L, n_k) blocks, one inner generator taken in study order
+    rng_data = substream(scenario.seed, MC_DATA, rep, 0)
+    blocks = [sample_standardized(density, n_triplet[k], means[k][:, None], sds[k][:, None], rng_data)
+              for k in range(3)]
+    rng_inner = substream(scenario.seed, MC_INNER, rep, 0)
     studies = []  # one (truth, crude, simulation) effect triple per study
     for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
-        rng_data = substream(scenario.seed, MC_DATA, rep, 0, i)
-        groups = [bias_study.sample_standardized(density, n_triplet[k], m[k], sd[k], rng_data)
-                  for k in range(3)]
-        beta, sd_beta, d = _reference_fit(groups)
+        beta, sd_beta, d = _reference_fit([block[i] for block in blocks])
         crude_slope, crude_sd = reference_crude(m, sd, n_triplet)
         summary = StudySummary(f"study{i + 1}", m, sd, n_triplet)
-        config = SimConfig(iterations=scenario.inner_iterations,
-                           seed=derive_seed(scenario.seed, MC_INNER, rep, 0, i))
+        betas, fit_sds, fit_ds = draw_fits(m, sd, n_triplet, scenario.inner_iterations, rng_inner)
         studies.append((
             effect_from_d(summary.study_id, beta, sd_beta, d, n_triplet, "crude"),
             effect_from_d(summary.study_id, crude_slope, crude_sd, crude_slope / crude_sd, n_triplet, "crude"),
-            sim_effect(summary, config),
+            effect_from_d(summary.study_id, float(betas.mean()), float(fit_sds.mean()), float(fit_ds.mean()),
+                          n_triplet, "simulation"),
         ))
     gwm_true, gwm_crude, gwm_sim = (
         pool_random_effects([(e.g, e.v_g) for e in column]).g_wm for column in zip(*studies)
@@ -475,17 +515,36 @@ class TestStackedReplicate:
             assert _replicate(scenario, rep) == _reference_replicate(scenario, rep)
 
     def test_simulation_out_of_float_range_names_the_study(self, monkeypatch):
-        draw_fits = bias_study.draw_fits
+        overflowing = _drawn_sds(SMALL, 0)[1]
 
-        def overflowing_second_study(m, sd, n, iterations, seed):
-            if sd == studies[1]:
+        def overflowing_second_study(m, sd, n, iterations, rng):
+            if sd == overflowing:
                 np.float64(1e300) * np.float64(1e300)  # raises only under the replicate's np.errstate
-            return draw_fits(m, sd, n, iterations, seed)
+            return draw_fits(m, sd, n, iterations, rng)
 
-        means, sds = perturb_study_params(SMALL.mean_vec, SMALL.sigma_ws, SMALL.n_studies,
-                                          substream(SMALL.seed, MC_PARAMS, 0, 0))
-        studies = sds.T.tolist()
         monkeypatch.setattr(bias_study, "draw_fits", overflowing_second_study)
-        with pytest.raises(ValueError, match=r"^replicate 0, study2: the simulated fits leave the "
+        with pytest.raises(ValueError, match=r"^study2: the simulated fits leave the "
                                              r"floating-point range \(overflow encountered in .*\)$"):
             _replicate(SMALL, 0)
+
+    @pytest.mark.parametrize("n_studies", [5, 10, 15])
+    def test_a_replicate_builds_three_generators_and_derives_no_seed(self, n_studies, monkeypatch):
+        calls = {"substream": [], "derive_seed": 0}
+        substream_, derive_seed_ = _rng.substream, _rng.derive_seed
+
+        def counting_substream(*keys):
+            calls["substream"].append(keys)
+            return substream_(*keys)
+
+        def counting_derive_seed(*keys):
+            calls["derive_seed"] += 1
+            return derive_seed_(*keys)
+
+        # every module binding of either function, as a tracer would wrap them
+        for module in (_rng, bias_study, cli, simulate):
+            for name, wrapper in (("substream", counting_substream), ("derive_seed", counting_derive_seed)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        _replicate(dataclasses.replace(SMALL, n_studies=n_studies), 3)
+        assert sorted(calls["substream"]) == [(SMALL.seed, tag, 3, 0) for tag in (MC_PARAMS, MC_DATA, MC_INNER)]
+        assert calls["derive_seed"] == 0

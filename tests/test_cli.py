@@ -19,9 +19,10 @@ from addmeta.bias_study import (
     SIGMA_WS_VALUES,
     STUDY_COUNTS,
     full_grid,
+    perturb_study_params,
 )
 from addmeta.cli import main
-from addmeta._rng import MC_INNER, derive_seed
+from addmeta._rng import MC_PARAMS, substream
 from addmeta.odds_recovery import ORRecord, combine_reported_ors
 from addmeta.simulate import DegenerateSampleError
 
@@ -349,12 +350,14 @@ class TestMcCommand:
 
     def test_overflow_in_a_replicate_exits_1_naming_it_at_any_worker_count(self, tmp_path, monkeypatch, capfd):
         draw_fits = bias_study.draw_fits
-        overflowing = derive_seed(9, MC_INNER, 1, 0, 1)  # study 2 of replicate 1
+        # study 2 of replicate 1, by the SDs that replicate draws for it
+        _, sds = perturb_study_params((4, 5.5, 7), 1.0, 5, substream(9, MC_PARAMS, 1, 0))
+        overflowing = sds.T.tolist()[1]
 
-        def overflowing_study(m, sd, n, iterations, seed):
-            if seed == overflowing:
+        def overflowing_study(m, sd, n, iterations, rng):
+            if sd == overflowing:
                 np.float64(1e300) * np.float64(1e300)  # raises only under the replicate's np.errstate
-            return draw_fits(m, sd, n, iterations, seed)
+            return draw_fits(m, sd, n, iterations, rng)
 
         monkeypatch.setattr(bias_study, "draw_fits", overflowing_study)
         config = tmp_path / "s.json"
@@ -367,8 +370,10 @@ class TestMcCommand:
             errors.append(capfd.readouterr().err)
             assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
         assert errors[0] == errors[1]
-        assert errors[0].startswith("error: replicate 1, study2: the simulated fits leave the floating-point "
-                                    "range (overflow encountered in ") and len(errors[0].splitlines()) == 1
+        assert errors[0].startswith(
+            "error: scenario density=f1, L=5, mean_vec=(4.0, 5.5, 7.0), sigma_ws=1.0, n_triplet=(10, 15, 5), "
+            "replicate 1: study2: the simulated fits leave the floating-point range (overflow encountered in "
+        ) and len(errors[0].splitlines()) == 1
 
     def test_full_grid_enumerates_every_cell(self):
         scenarios = full_grid(mc_reps=2, inner_iterations=2, seed=0)

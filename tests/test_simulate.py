@@ -145,10 +145,10 @@ class TestSimulateStudy:
 
     def test_golden_stats_replay(self):
         effect = sim_effect(ZHH, SimConfig(iterations=500, seed=99))
-        assert effect.beta == pytest.approx(0.13593338259620433, rel=1e-12)
-        assert effect.sd_beta == pytest.approx(2.016476851558082, rel=1e-12)
-        assert effect.d == pytest.approx(0.06784171866192278, rel=1e-12)
-        assert effect.d_se == pytest.approx(0.00789229244491148, rel=1e-12)
+        assert effect.beta == pytest.approx(0.16897658247820274, rel=1e-12)
+        assert effect.sd_beta == pytest.approx(2.0238844971790737, rel=1e-12)
+        assert effect.d == pytest.approx(0.08448371171520672, rel=1e-12)
+        assert effect.d_se == pytest.approx(0.007381443063314898, rel=1e-12)
 
     def test_noise_free_limit_recovers_slope(self):
         summary = StudySummary("limit", (4, 5.5, 7), (1e-8, 1e-8, 1e-8), (20, 20, 20))
@@ -190,7 +190,7 @@ def noncentral_t_mean_d(beta, sigma, n):
 )
 def test_iteration_reductions_equal_numpy_mean_and_std(m, sd, n, iterations, seed):
     summary, config = StudySummary("s", m, sd, n), SimConfig(iterations=iterations, seed=seed)
-    betas, sds, ds = draw_fits(m, sd, n, iterations, seed)
+    betas, sds, ds = draw_fits(m, sd, n, iterations, substream(seed, SIM_DRAWS))
     effect = sim_effect(summary, config)
     assert effect.beta == float(betas.mean())
     assert effect.sd_beta == float(sds.mean())
@@ -229,7 +229,7 @@ class TestReferenceEquivalence:
         draws = 4000
         rng = np.random.default_rng(2718)
         reference = [draw_and_fit_once(summary, rng) for _ in range(draws)]
-        fast = draw_fits(summary.m, summary.sd, summary.n, draws, 2719)
+        fast = draw_fits(summary.m, summary.sd, summary.n, draws, substream(2719, SIM_DRAWS))
         for name, ref, new in zip(("beta", "sd", "d"), zip(*reference), fast):
             ref_mean, ref_mean_se, ref_sd, ref_sd_se = _moments(np.array(ref))
             new_mean, new_mean_se, new_sd, new_sd_se = _moments(new)
@@ -262,7 +262,8 @@ def test_draws_consume_the_normal_and_chisquare_stream():
     beta, curvature = mean[:, None] + np.linalg.cholesky(cov) @ z
     ref_sd = np.sqrt((sse + lack_of_fit * curvature**2) / (n.sum() - 2.0))
 
-    betas, sds, ds = draw_fits(summary.m, summary.sd, summary.n, config.iterations, config.seed)
+    betas, sds, ds = draw_fits(summary.m, summary.sd, summary.n, config.iterations,
+                               substream(config.seed, SIM_DRAWS))
     np.testing.assert_allclose(betas, beta, rtol=0, atol=1e-12 * (abs(mean[0]) + math.sqrt(cov[0, 0])))
     np.testing.assert_allclose(sds, ref_sd, rtol=1e-12)
     np.testing.assert_array_equal(ds, betas / sds)
@@ -277,7 +278,7 @@ def test_draws_consume_the_normal_and_chisquare_stream():
 def test_draw_moments_match_exact_moments(summary):
     # E[beta], Var[beta], E[sd^2] and E[beta sd^2] in closed form: SSE is independent
     # of (beta, c), E[c^2] = mu_c^2 + var_c and E[beta c^2] = mu_b E[c^2] + 2 mu_c cov
-    betas, sds, _ = draw_fits(summary.m, summary.sd, summary.n, 400_000, 515)
+    betas, sds, _ = draw_fits(summary.m, summary.sd, summary.n, 400_000, substream(515, SIM_DRAWS))
     (mu_b, mu_c), ((var_b, cov), (_, var_c)), sse_mean, lack_of_fit = _contrast_moments(summary)
     dof = sum(summary.n) - 2
     c2 = mu_c**2 + var_c
