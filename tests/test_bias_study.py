@@ -486,12 +486,12 @@ def _reference_replicate(scenario, rep):
     for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
         beta, sd_beta, d = _reference_fit([block[i] for block in blocks])
         crude_slope, crude_sd = reference_crude(m, sd, n_triplet)
-        summary = StudySummary(f"study{i + 1}", m, sd, n_triplet)
+        study_id = f"study{i + 1}"
         betas, fit_sds, fit_ds = draw_fits(m, sd, n_triplet, scenario.inner_iterations, rng_inner)
         studies.append((
-            effect_from_d(summary.study_id, beta, sd_beta, d, n_triplet, "crude"),
-            effect_from_d(summary.study_id, crude_slope, crude_sd, crude_slope / crude_sd, n_triplet, "crude"),
-            effect_from_d(summary.study_id, float(betas.mean()), float(fit_sds.mean()), float(fit_ds.mean()),
+            effect_from_d(study_id, beta, sd_beta, d, n_triplet, "crude"),
+            effect_from_d(study_id, crude_slope, crude_sd, crude_slope / crude_sd, n_triplet, "crude"),
+            effect_from_d(study_id, float(betas.mean()), float(fit_sds.mean()), float(fit_ds.mean()),
                           n_triplet, "simulation"),
         ))
     gwm_true, gwm_crude, gwm_sim = (
