@@ -169,8 +169,9 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         _write_manifest(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # a MemoryError raised by Python itself carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -154,14 +154,21 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
     -0.5 or more than half a count above its margin) are dropped.  A
     discriminant below zero by less than 1e-9 of lam^2 is taken as a double
     root lost to rounding when that root lies inside the margins; otherwise
-    the record has no real solution.
+    the record has no real solution.  Coefficients that overflow (an OR of
+    about 1e154 or more) make the record infeasible.
     """
     or_value = record.or_value
     m1, m2 = record.m_top, record.m_bottom
     se2 = se_from_ci(record.ci_lo, record.ci_hi) ** 2
-    alpha = (1.0 - or_value) ** 2 + or_value * m2 * se2
+    try:
+        alpha = (1.0 - or_value) ** 2 + or_value * m2 * se2
+    except OverflowError:  # float ** raises where * gives inf
+        alpha = math.inf
     lam = or_value * m1 * (2.0 * (1.0 - or_value) - m2 * se2)
     gamma = or_value * m1 * (or_value * m1 + m2)
+    if not all(map(math.isfinite, (alpha, lam, gamma))):
+        raise InfeasibleTableError(f"{record.label} record: the quadratic's coefficients leave the "
+                                   f"floating-point range for {record}")
     disc = lam * lam - 4.0 * alpha * gamma
     if disc <= -1e-9 * max(lam * lam, 1.0):
         raise NegativeDiscriminantError(f"{record.label} record: no real solution for {record}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import addmeta
-from addmeta import bias_study
+from addmeta import bias_study, simulate
 from addmeta.bias_study import (
     DENSITIES,
     MEAN_VECTORS,
@@ -36,19 +36,30 @@ def read_rows(path):
 
 
 # each command's output at --precision 17, as pinned in tests/data: effect on the
-# Table-2 cohorts with each standardizer and the simulation, meta on the last
+# Table-2 cohorts with each standardizer and the simulation, meta on the last, mc
+# on one scenario, and or on the worked example plus tables the OR fit tests fit
 @pytest.mark.parametrize("argv, pinned", [
     (["effect", "table2_cohorts.csv", "--standardizer", "pooled"], "table2_effect_pooled.csv"),
     (["effect", "table2_cohorts.csv", "--standardizer", "pair-mean"], "table2_effect_pair_mean.csv"),
     (["effect", "table2_cohorts.csv", "--method", "sim", "--iterations", "500", "--seed", "7"],
      "table2_effect_sim.csv"),
     (["meta", "table2_effect_sim.csv"], "table2_meta_sim.csv"),
-], ids=["effect-pooled", "effect-pair-mean", "effect-sim", "meta-sim"])
+    (["mc", "mc_f3_scenario.json", "--workers", "1"], "mc_f3_workers1.csv"),
+    (["or", "or_records.csv"], "or_combined.csv"),
+], ids=["effect-pooled", "effect-pair-mean", "effect-sim", "meta-sim", "mc-f3", "or"])
 def test_output_bytes_match_the_pinned_file(argv, pinned, tmp_path):
     command, name, *flags = argv
     out = tmp_path / pinned
     assert main([command, str(DATA / name), *flags, "--precision", "17", "-o", str(out)]) == 0
     assert out.read_bytes() == (DATA / pinned).read_bytes()
+
+
+def test_package_namespace_holds_one_entry_point_per_step():
+    assert sorted(addmeta.__all__) == [
+        "ORRecord", "Scenario", "SimConfig", "StudySummary", "combine_reported_ors", "crude_beta",
+        "crude_effect", "pool_random_effects", "run_scenario", "sim_effect",
+    ]
+    assert all(hasattr(addmeta, name) for name in addmeta.__all__)
 
 
 class TestEffectCommand:
@@ -118,6 +129,16 @@ class TestEffectCommand:
         out = tmp_path / "o.csv"
         assert main(["effect", str(src), "-o", str(out)]) == 0
         assert float(read_rows(out)[0]["beta"]) == pytest.approx(1.5)
+
+    def test_out_of_memory_exits_1_with_one_error_line(self, table2_csv, tmp_path, monkeypatch, capsys):
+        def out_of_memory(m, sd, n, iterations, rng):
+            raise MemoryError  # as Python raises it, without a message
+
+        monkeypatch.setattr(simulate, "draw_fits", out_of_memory)
+        out = tmp_path / "o.csv"
+        assert main(["effect", str(table2_csv), "--method", "sim", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, table2_csv, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -375,6 +396,20 @@ class TestMcCommand:
             "replicate 1: study2: the simulated fits leave the floating-point range (overflow encountered in "
         ) and len(errors[0].splitlines()) == 1
 
+    def test_out_of_memory_exits_1_at_any_worker_count(self, tmp_path, monkeypatch, capfd):
+        def out_of_memory(m, sd, n, iterations, rng):
+            raise MemoryError(f"Unable to allocate an array of {iterations} draws")
+
+        monkeypatch.setattr(bias_study, "draw_fits", out_of_memory)
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 1.0,
+                                      "n_triplet": [10, 15, 5], "mc_reps": 4, "inner_iterations": 20}))
+        for workers in ("1", "2"):
+            assert main(["mc", str(config), "--workers", workers, "-o", str(tmp_path / "o.csv")]) == 1
+            err = capfd.readouterr().err
+            assert err == "error: Unable to allocate an array of 20 draws\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
     def test_full_grid_enumerates_every_cell(self):
         scenarios = full_grid(mc_reps=2, inner_iterations=2, seed=0)
         assert len(scenarios) == 4 * 3 * 2 * 3 * 8
@@ -539,10 +574,17 @@ class TestExtremeInputs:
          "e.csv: no finite pooled estimate of 2 effects"),
         (["meta"], "e.csv", "study_id,g,v_g\nA,-1e300,1\nB,1e300,1\n",
          "e.csv: no finite pooled estimate of 2 effects"),
+        (["effect"], "in.json",
+         '[{"study_id": "A", "m1": 4, "m2": 5.5, "m3": 7, "sd1": 1, "sd2": 1, "sd3": 1, '
+         f'"n1": {10**400}, "n2": 15, "n3": 5}}]',
+         "in.json, row 1: A: sample sizes must be below about 1.8e308"),
+        (["or"], "ors.csv", "study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n"
+         "S1,AB_vs_AA,3.00,1.05,8.60,30,30\nS1,BB_vs_AB,1e+200,1e+199,1e+201,50,50\n",
+         "ors.csv: study 'S1': BB_vs_AB record: the quadratic's coefficients leave the floating-point range"),
     ], ids=["crude-tiny-sd", "crude-huge-sd", "sim-tiny-sd", "sim-huge-sd", "crude-infinite-d",
             "crude-infinite-slope", "crude-infinite-variance", "sim-infinite-d", "meta-subnormal-v",
             "meta-single-subnormal-v", "meta-weight-sum-overflow", "meta-squared-weight-overflow",
-            "meta-q-overflow"])
+            "meta-q-overflow", "json-group-size-past-float", "or-past-float"])
     def test_exits_1_with_one_error_line_and_no_output(self, argv, name, text, message, tmp_path, capsys):
         src = tmp_path / name
         src.write_text(text)

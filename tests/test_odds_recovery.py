@@ -282,6 +282,16 @@ class TestRecoverTables:
         with pytest.raises(InfeasibleTableError, match="AB_vs_AA record: both recovered tables fall outside"):
             recover_tables(record)
 
+    @pytest.mark.parametrize("or_value, ci_lo, ci_hi", [
+        (1e200, 1e199, 1e201),  # (1 - OR)**2 overflows
+        (1e160, 1e159, 1e161),  # OR * m_top * (OR * m_top + m_bottom) overflows
+    ])
+    def test_coefficients_past_the_float_range_raise_infeasible(self, or_value, ci_lo, ci_hi):
+        record = ORRecord("BB_vs_AB", or_value, ci_lo, ci_hi, 50, 50)
+        with pytest.raises(InfeasibleTableError, match="BB_vs_AB record: the quadratic's coefficients leave "
+                                                       r"the floating-point range for ORRecord\("):
+            recover_tables(record)
+
     def test_grazing_root_outside_the_margins_is_no_real_solution(self):
         # the discriminant is -8.1e-10 of lam^2, inside the grazing allowance, but the
         # double root lies at a = 246,303,871, past m_top: no table is lost to rounding

@@ -1,33 +1,20 @@
-"""Stream derivation: keys passed as uint32 words give the streams of the list form, on SFC64."""
+"""Stream derivation: the keys fix each stream, pinned as SeedSequence and SFC64 make it."""
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from addmeta._rng import derive_seed, substream
 
-KEYS = st.lists(st.integers(0, 2**80), min_size=1, max_size=6)
+
+def test_substream_draws_are_pinned():
+    # the stream of a bias-study replicate's inner fits (tag MC_INNER, replicate 5)
+    assert substream(20270405, 203, 5, 0).integers(0, 2**63, 4).tolist() == [
+        4235348277345125969, 76782857238875739, 8529254572816753333, 6650341419126809496,
+    ]
 
 
-@settings(max_examples=300, deadline=None)
-@example(keys=[0])
-@example(keys=[2**32 - 1, 2**32, 0])
-@example(keys=[2**64, 0, 7])
-@given(keys=KEYS)
-def test_substream_draws_equal_the_list_entropy_stream(keys):
-    expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=keys)))
-    np.testing.assert_array_equal(substream(*keys).integers(0, 2**63, 8), expected.integers(0, 2**63, 8))
-
-
-@settings(max_examples=300, deadline=None)
-@example(keys=[0, 0, 0])
-@example(keys=[2**32 - 1, 2**32])
-@example(keys=[2**80, 1])
-@given(keys=KEYS)
-def test_derive_seed_equals_the_list_entropy_seed(keys):
-    high, low = np.random.SeedSequence(entropy=keys).generate_state(2, dtype=np.uint32)
-    assert derive_seed(*keys) == int(high) << 32 | int(low)
+def test_derive_seed_is_pinned():
+    # a key wider than 64 bits, as the effect command's study keys are
+    assert derive_seed(7, 401, 2**80 + 3) == 8413544841944818495
 
 
 def test_negative_and_non_integer_keys_are_refused():
