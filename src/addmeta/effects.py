@@ -62,7 +62,7 @@ class StudySummary:
             raise ValueError(f"{self.study_id}: all standard deviations must be > 0, between about "
                              f"1.5e-154 and 1.3e154 so that their squares are normal floats, got {self.sd}")
         n = tuple(int(x) for x in self.n)
-        if any(k > sys.float_info.max for k in n):  # a JSON int can be; float() would overflow below
+        if any(k > sys.float_info.max for k in n):  # a JSON integer can be; float() below would raise
             raise ValueError(f"{self.study_id}: sample sizes must be below about 1.8e308")
         if any(k != float(orig) for k, orig in zip(n, self.n)):
             raise ValueError(f"{self.study_id}: sample sizes must be integers, got {self.n}")

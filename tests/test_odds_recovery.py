@@ -284,7 +284,7 @@ class TestRecoverTables:
 
     @pytest.mark.parametrize("or_value, ci_lo, ci_hi", [
         (1e200, 1e199, 1e201),  # (1 - OR)**2 overflows
-        (1e160, 1e159, 1e161),  # OR * m_top * (OR * m_top + m_bottom) overflows
+        (1e153, 1e152, 1e154),  # only gamma = OR * m_top * (OR * m_top + m_bottom) overflows
     ])
     def test_coefficients_past_the_float_range_raise_infeasible(self, or_value, ci_lo, ci_hi):
         record = ORRecord("BB_vs_AB", or_value, ci_lo, ci_hi, 50, 50)
