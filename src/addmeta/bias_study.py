@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,32 +62,16 @@ DEFAULT_REPLICATES = 100
 DEFAULT_INNER_ITERATIONS = 2000
 
 
-@dataclass(frozen=True)
 class MixtureDensity:
     """A normal mixture with unit-level components (weight, mean, sd)."""
 
-    id: str
-    label: str
-    components: tuple[tuple[float, float, float], ...]
-    analytic_mean: float = field(init=False)
-    analytic_var: float = field(init=False)
-
-    def __post_init__(self):
-        w = np.array([c[0] for c in self.components])
-        mu = np.array([c[1] for c in self.components])
-        sigma = np.array([c[2] for c in self.components])
-        if np.any(w <= 0) or np.any(sigma <= 0):
-            raise ValueError(f"{self.id}: weights and sigmas must be > 0")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"{self.id}: weights must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "_mu", mu)
-        object.__setattr__(self, "_sigma", sigma)
+    def __init__(self, components: tuple[tuple[float, float, float], ...]):
+        self.components = components
+        w, self._mu, self._sigma = (np.array(column) for column in zip(*components))
         cdf = w.cumsum()
-        object.__setattr__(self, "_cdf", cdf / cdf[-1])
-        mean = float((w * mu).sum())
-        var = float((w * (sigma**2 + mu**2)).sum() - mean**2)
-        object.__setattr__(self, "analytic_mean", mean)
-        object.__setattr__(self, "analytic_var", var)
+        self._cdf = cdf / cdf[-1]
+        self.analytic_mean = float((w * self._mu).sum())
+        self.analytic_var = float((w * (self._sigma**2 + self._mu**2)).sum() - self.analytic_mean**2)
 
     def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Draw an array of shape ``size`` from the raw (unstandardized) mixture."""
@@ -103,10 +87,10 @@ def _skewed_components() -> tuple[tuple[float, float, float], ...]:
 
 
 DENSITIES: dict[str, MixtureDensity] = {
-    "f1": MixtureDensity("f1", "normal", ((1.0, 0.0, 1.0),)),
-    "f2": MixtureDensity("f2", "strongly-skewed", _skewed_components()),
-    "f3": MixtureDensity("f3", "asymmetric-bimodal", ((0.75, 0.0, 1.0), (0.25, 1.5, 1.0 / 3.0))),
-    "f4": MixtureDensity("f4", "kurtotic", ((2.0 / 3.0, 0.0, 1.0), (1.0 / 3.0, 0.0, 0.1))),
+    "f1": MixtureDensity(((1.0, 0.0, 1.0),)),  # normal
+    "f2": MixtureDensity(_skewed_components()),  # strongly skewed
+    "f3": MixtureDensity(((0.75, 0.0, 1.0), (0.25, 1.5, 1.0 / 3.0))),  # asymmetric bimodal
+    "f4": MixtureDensity(((2.0 / 3.0, 0.0, 1.0), (1.0 / 3.0, 0.0, 0.1))),  # kurtotic
 }
 
 
@@ -254,44 +238,37 @@ def _replicate(scenario: Scenario, rep: int):
     return (*biases[0], *biases[1])
 
 
-def _shard(scenario: Scenario, start: int, step: int, stop: threading.Event):
-    """Replicates start, start + step, ... of a scenario, up to the first that fails.
-
-    Returns ``(rows, failure)``: ``failure`` is None, or the failing
-    ``(replicate, exception)`` and ``rows`` holds the replicates before it.
-    Once ``stop`` is set, no further replicate starts.
-    """
-    rows = []
-    for rep in range(start, scenario.mc_reps, step):
-        if stop.is_set():
-            break
-        try:
-            rows.append(_replicate(scenario, rep))
-        except Exception as exc:
-            return rows, (rep, exc)
-    return rows, None
-
-
 def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     """Run all replicates of a scenario and aggregate the bias metrics.
 
-    ``workers`` threads share the replicates in interleaved shards: the
-    calling thread computes replicates 0, W, 2W, ... and a helper thread per
-    further shard j computes j, j + W, ..., where W is ``workers`` capped at
-    the replicate count.  A failing run raises the exception of its lowest
-    failing replicate once every shard has reported (a ValueError or a
+    ``workers``, an integer >= 1, is the number of threads that share the
+    replicates in interleaved shards: the calling thread computes replicates
+    0, W, 2W, ... and a helper thread per further shard j computes j, j + W,
+    ..., where W is ``workers`` capped at the replicate count.  Each
+    replicate's biases, or the exception that stops its shard, go into its
+    own slot.  A failing run raises the exception of its lowest failing
+    replicate once every shard has ended (a ValueError or a
     DegenerateSampleError names the scenario cell and replicate first).  Any
     exit of the calling thread, an interrupt included, stops the helpers
     within one replicate and joins them.  The result, or the error raised,
     is the same at any worker count.
     """
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     reps = scenario.mc_reps
     shards = min(workers, reps)
-    results = [None] * shards
+    rows = [None] * reps
     stop = threading.Event()
 
     def work(j: int) -> None:
-        results[j] = _shard(scenario, j, shards, stop)
+        for rep in range(j, reps, shards):
+            if stop.is_set():
+                break
+            try:
+                rows[rep] = _replicate(scenario, rep)
+            except Exception as exc:
+                rows[rep] = exc
+                break
 
     helpers = []
     try:
@@ -307,19 +284,15 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
         for helper in helpers:
             helper.join()
 
-    if None in results:
-        raise RuntimeError(f"bias-study worker {results.index(None)} ended without its replicates")
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        rep, exc = min(failures, key=lambda failure: failure[0])  # the lowest failing replicate
-        if type(exc) in (ValueError, DegenerateSampleError):
-            raise type(exc)(f"scenario density={scenario.density}, L={scenario.n_studies}, "
-                            f"mean_vec={scenario.mean_vec}, sigma_ws={scenario.sigma_ws}, "
-                            f"n_triplet={scenario.n_triplet}, replicate {rep}: {exc}") from exc
-        raise exc
-    rows = [None] * reps
-    for j, (shard_rows, _) in enumerate(results):
-        rows[j::shards] = shard_rows
+    for rep, row in enumerate(rows):
+        if row is None:  # only a helper killed by a non-Exception leaves a slot before any failure
+            raise RuntimeError(f"bias-study worker {rep % shards} ended without its replicates")
+        if isinstance(row, Exception):
+            if type(row) in (ValueError, DegenerateSampleError):
+                raise type(row)(f"scenario density={scenario.density}, L={scenario.n_studies}, "
+                                f"mean_vec={scenario.mean_vec}, sigma_ws={scenario.sigma_ws}, "
+                                f"n_triplet={scenario.n_triplet}, replicate {rep}: {row}") from row
+            raise row
     columns = list(zip(*rows))
     means = [math.fsum(col) / reps for col in columns]
     ses = [math.sqrt(math.fsum((x - mean) ** 2 for x in col) / (reps - 1) / reps)

@@ -65,7 +65,8 @@ class StudySummary:
         if any(k > sys.float_info.max for k in n):  # a JSON integer can be; float() below would raise
             raise ValueError(f"{self.study_id}: sample sizes must be below about 1.8e308")
         if any(k != float(orig) for k, orig in zip(n, self.n)):
-            raise ValueError(f"{self.study_id}: sample sizes must be integers, got {self.n}")
+            raise ValueError(f"{self.study_id}: sample sizes must be integers that a float holds exactly, "
+                             f"got {self.n}")
         if any(k < 2 for k in n):
             raise ValueError(f"{self.study_id}: all sample sizes must be >= 2, got {n}")
         object.__setattr__(self, "n", n)

@@ -114,7 +114,8 @@ def draw_fits(m: Sequence[float], sd: Sequence[float], n: tuple[int, int, int], 
     (slope, curvature) is its mean plus its covariance's Cholesky factor
     times one (2, iterations) normal block; then one gamma SSE run per
     group.  Run it under ``np.errstate(over="raise", invalid="raise",
-    divide="raise")`` to catch draws that leave the floating-point range.
+    divide="raise")`` to catch draws that leave the floating-point range or
+    have a zero SD.
     """
     design = _design(n)
     # the moments in plain floats, in the order numpy's 3-element products and sums take
@@ -139,8 +140,6 @@ def draw_fits(m: Sequence[float], sd: Sequence[float], n: tuple[int, int, int], 
     rss += design.curvature_scale * curvature
     rss /= design.n_total - 2.0
     sds = np.sqrt(rss, out=rss)
-    if (sds == 0.0).any():
-        raise DegenerateSampleError("zero-variance draw in simulation")
     return betas, sds, betas / sds
 
 

@@ -27,6 +27,7 @@ from addmeta.effects import StudySummary, crude_effect, effect_from_d
 from addmeta.pooling import pool_random_effects
 from addmeta.simulate import DegenerateSampleError, _Design, draw_fits
 from test_effects import reference_crude
+from test_simulate import ZeroDraws
 
 # a fixed stream key per density: str hashes are salted per process
 DENSITY_KEYS = {"f1": 1, "f2": 2, "f3": 3, "f4": 4}
@@ -415,6 +416,26 @@ class TestRunScenario:
         monkeypatch.setattr(bias_study, "_replicate", exiting_in_helpers)
         with pytest.raises(RuntimeError, match="^bias-study worker 1 ended without its replicates$"):
             run_scenario(SMALL, workers=2)
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None])
+    def test_refuses_a_worker_count_that_is_not_a_positive_integer(self, workers):
+        with pytest.raises(ValueError, match=rf"^workers must be an integer >= 1, got {workers!r}$"):
+            run_scenario(SMALL, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_simulated_sd_names_the_replicate_and_study(self, workers, monkeypatch):
+        # every study reports SMALL's collinear anchor means, and the inner draws are all 0
+        def anchors(mean_vec, sigma_ws, n_studies, rng):
+            return np.repeat(np.array(mean_vec)[:, None], n_studies, 1), np.full((3, n_studies), sigma_ws)
+
+        substream_ = bias_study.substream
+        monkeypatch.setattr(bias_study, "perturb_study_params", anchors)
+        monkeypatch.setattr(bias_study, "substream", lambda seed, tag, *keys:
+                            ZeroDraws() if tag == MC_INNER else substream_(seed, tag, *keys))
+        with pytest.raises(ValueError) as failure:
+            run_scenario(SMALL, workers=workers)
+        assert str(failure.value).startswith(
+            SMALL_CELL + "replicate 0: study1: the simulated fits leave the floating-point range (divide")
 
     def test_bias_aggregation_is_order_invariant(self):
         # mean |g_true - g_est| and the pooled difference ignore study order

@@ -37,16 +37,19 @@ def read_rows(path):
 
 # each command's output at --precision 17, as pinned in tests/data: effect on the
 # Table-2 cohorts with each standardizer and the simulation, meta on the last, mc
-# on one scenario, and or on the worked example plus tables the OR fit tests fit
+# on one scenario per density, and or on the worked example plus tables the OR fit
+# tests fit
 @pytest.mark.parametrize("argv, pinned", [
     (["effect", "table2_cohorts.csv", "--standardizer", "pooled"], "table2_effect_pooled.csv"),
     (["effect", "table2_cohorts.csv", "--standardizer", "pair-mean"], "table2_effect_pair_mean.csv"),
     (["effect", "table2_cohorts.csv", "--method", "sim", "--iterations", "500", "--seed", "7"],
      "table2_effect_sim.csv"),
     (["meta", "table2_effect_sim.csv"], "table2_meta_sim.csv"),
-    (["mc", "mc_f3_scenario.json", "--workers", "1"], "mc_f3_workers1.csv"),
+    *[(["mc", f"mc_{fid}_scenario.json", "--workers", "1"], f"mc_{fid}_workers1.csv")
+      for fid in ("f1", "f2", "f3", "f4")],
     (["or", "or_records.csv"], "or_combined.csv"),
-], ids=["effect-pooled", "effect-pair-mean", "effect-sim", "meta-sim", "mc-f3", "or"])
+], ids=["effect-pooled", "effect-pair-mean", "effect-sim", "meta-sim", "mc-f1", "mc-f2", "mc-f3", "mc-f4",
+        "or"])
 def test_output_bytes_match_the_pinned_file(argv, pinned, tmp_path):
     command, name, *flags = argv
     out = tmp_path / pinned
@@ -578,13 +581,18 @@ class TestExtremeInputs:
          '[{"study_id": "A", "m1": 4, "m2": 5.5, "m3": 7, "sd1": 1, "sd2": 1, "sd3": 1, '
          f'"n1": {10**400}, "n2": 15, "n3": 5}}]',
          "in.json, row 1: A: sample sizes must be below about 1.8e308"),
+        (["effect"], "in.json",
+         '[{"study_id": "A", "m1": 4, "m2": 5.5, "m3": 7, "sd1": 1, "sd2": 1, "sd3": 1, '
+         f'"n1": {10**30}, "n2": 15, "n3": 5}}]',
+         "in.json, row 1: A: sample sizes must be integers that a float holds exactly"),
         (["or"], "ors.csv", "study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n"
          "S1,AB_vs_AA,3.00,1.05,8.60,30,30\nS1,BB_vs_AB,1e+200,1e+199,1e+201,50,50\n",
          "ors.csv: study 'S1': BB_vs_AB record: the quadratic's coefficients leave the floating-point range"),
     ], ids=["crude-tiny-sd", "crude-huge-sd", "sim-tiny-sd", "sim-huge-sd", "crude-infinite-d",
             "crude-infinite-slope", "crude-infinite-variance", "sim-infinite-d", "meta-subnormal-v",
             "meta-single-subnormal-v", "meta-weight-sum-overflow", "meta-squared-weight-overflow",
-            "meta-q-overflow", "json-group-size-past-float", "or-past-float"])
+            "meta-q-overflow", "json-group-size-past-float", "json-group-size-not-a-float",
+            "or-past-float"])
     def test_exits_1_with_one_error_line_and_no_output(self, argv, name, text, message, tmp_path, capsys):
         src = tmp_path / name
         src.write_text(text)

@@ -74,6 +74,11 @@ class TestStudySummary:
         with pytest.raises(ValueError, match="sample sizes"):
             StudySummary("x", (1, 2, 3), (1, 1, 1), (5, 1, 5))
 
+    @pytest.mark.parametrize("n", [(10.5, 15, 5), (10**30, 15, 5), (2**53 + 1, 15, 5)])
+    def test_rejects_sizes_that_are_not_integers_a_float_holds(self, n):
+        with pytest.raises(ValueError, match=r"^x: sample sizes must be integers that a float holds exactly"):
+            StudySummary("x", (1, 2, 3), (1, 1, 1), n)
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             SATIETY.m = (0, 0, 0)

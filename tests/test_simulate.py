@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addmeta import simulate
 from addmeta._rng import SIM_DRAWS, substream
 from addmeta.effects import AdditiveEffect, StudySummary, cohens_d_variance, crude_effect, hedges_j
 from addmeta.simulate import (
@@ -302,6 +303,27 @@ def test_draw_moments_match_exact_moments(summary):
 def test_moments_out_of_float_range_raise(m, sd, n):
     with pytest.raises(ValueError, match="^s: the simulated fits leave the floating-point range"):
         sim_effect(StudySummary("s", m, sd, n), SimConfig(iterations=10, seed=1))
+
+
+class ZeroDraws:
+    """A stand-in generator whose normal and gamma draws are all 0.
+
+    With collinear means every regenerated fit then has residual SD 0 and
+    the slope of the means.
+    """
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+    def gamma(self, shape, scale, size):
+        return np.zeros(size)
+
+
+def test_zero_simulated_sd_is_a_range_error_naming_the_study(monkeypatch):
+    monkeypatch.setattr(simulate, "substream", lambda *keys: ZeroDraws())
+    with pytest.raises(ValueError, match=r"^line: the simulated fits leave the floating-point range \(divide"):
+        sim_effect(StudySummary("line", (1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (10, 15, 5)),
+                   SimConfig(iterations=10, seed=1))
 
 
 class TestSimEffect:
