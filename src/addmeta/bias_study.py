@@ -37,7 +37,7 @@ import numpy as np
 from ._rng import MC_DATA, MC_INNER, MC_PARAMS, substream
 from .effects import crude_beta, pairwise_g
 from .pooling import pool_random_effects
-from .simulate import DEFAULT_SEED, DegenerateSampleError, additive_fit_rows, draw_fits, range_error
+from .simulate import DEFAULT_SEED, additive_fit_rows, draw_fits, range_error, require_integer
 
 # Scenario grid.
 STUDY_COUNTS = (5, 10, 15)
@@ -75,10 +75,8 @@ class MixtureDensity:
 
     def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Draw an array of shape ``size`` from the raw (unstandardized) mixture."""
-        if len(self.components) == 1:
-            return rng.normal(self._mu[0], self._sigma[0], size=size)
         # rng.choice(len(w), size=size, p=w) draws this stream, less its per-call checks
-        idx = self._cdf.searchsorted(rng.random(size), side="right")
+        idx = self._cdf.searchsorted(rng.random(size), side="right") if len(self.components) > 1 else 0
         return rng.standard_normal(size) * self._sigma[idx] + self._mu[idx]
 
 
@@ -103,10 +101,6 @@ def sample_standardized(density: MixtureDensity, n: int, target_mean: float | np
     shape (skewness, kurtosis) of the mixture is preserved; only its first
     two population moments are moved onto the targets.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if np.min(target_sd) <= 0:
-        raise ValueError(f"target_sd must be > 0, got {np.min(target_sd)}")
     x = density.sample(np.broadcast_shapes(np.shape(target_mean), np.shape(target_sd), (n,)), rng)
     z = (x - density.analytic_mean) / math.sqrt(density.analytic_var)
     return target_mean + target_sd * z
@@ -126,8 +120,6 @@ def perturb_study_params(
     replaced by mean_vec[0], as in the reference protocol; a nonpositive SD
     draw is replaced by sigma_ws.
     """
-    if n_studies < 1:
-        raise ValueError(f"n_studies must be >= 1, got {n_studies}")
     anchors = np.asarray(mean_vec, dtype=float)[:, None]
     means = rng.normal(anchors, PERTURB_SD, (3, n_studies))
     sds = rng.normal(sigma_ws, PERTURB_SD, (3, n_studies))
@@ -150,6 +142,11 @@ class Scenario:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name, rule in (("n_studies", f" in {STUDY_COUNTS}"), ("mc_reps", " >= 2"),
+                           ("inner_iterations", " >= 2"), ("seed", " >= 0")):
+            require_integer(name, getattr(self, name), rule)
+        for i, k in enumerate(self.n_triplet):
+            require_integer(f"n_triplet[{i}]", k)
         if self.density not in DENSITIES:
             raise ValueError(f"density must be one of {sorted(DENSITIES)}, got {self.density!r}")
         if self.n_studies not in STUDY_COUNTS:
@@ -247,13 +244,13 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     ..., where W is ``workers`` capped at the replicate count.  Each
     replicate's biases, or the exception that stops its shard, go into its
     own slot.  A failing run raises the exception of its lowest failing
-    replicate once every shard has ended (a ValueError or a
-    DegenerateSampleError names the scenario cell and replicate first).  Any
-    exit of the calling thread, an interrupt included, stops the helpers
-    within one replicate and joins them.  The result, or the error raised,
-    is the same at any worker count.
+    replicate once every shard has ended; a ValueError's message names the
+    scenario cell and replicate first.  Any exit of the calling thread, an
+    interrupt included, stops the helpers within one replicate and joins
+    them.  The result, or the error raised, is the same at any worker count.
     """
-    if not isinstance(workers, int) or workers < 1:
+    require_integer("workers", workers, " >= 1")
+    if workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     reps = scenario.mc_reps
     shards = min(workers, reps)
@@ -288,10 +285,10 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
         if row is None:  # only a helper killed by a non-Exception leaves a slot before any failure
             raise RuntimeError(f"bias-study worker {rep % shards} ended without its replicates")
         if isinstance(row, Exception):
-            if type(row) in (ValueError, DegenerateSampleError):
-                raise type(row)(f"scenario density={scenario.density}, L={scenario.n_studies}, "
-                                f"mean_vec={scenario.mean_vec}, sigma_ws={scenario.sigma_ws}, "
-                                f"n_triplet={scenario.n_triplet}, replicate {rep}: {row}") from row
+            if type(row) is ValueError:
+                raise ValueError(f"scenario density={scenario.density}, L={scenario.n_studies}, "
+                                 f"mean_vec={scenario.mean_vec}, sigma_ws={scenario.sigma_ws}, "
+                                 f"n_triplet={scenario.n_triplet}, replicate {rep}: {row}") from row
             raise row
     columns = list(zip(*rows))
     means = [math.fsum(col) / reps for col in columns]

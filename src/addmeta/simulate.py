@@ -41,8 +41,10 @@ _CODES = np.array([1.0, 2.0, 3.0])
 _CURVATURE = np.array([1.0, -2.0, 1.0])
 
 
-class DegenerateSampleError(RuntimeError):
-    """Raised when a drawn sample has zero variance everywhere."""
+def require_integer(name: str, value, rule: str = "") -> None:
+    """Refuse a count or seed ``value`` unless it is a Python or numpy integer that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer{rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,12 @@ class SimConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        require_integer("iterations", self.iterations, " >= 2")
+        require_integer("seed", self.seed, " >= 0")
         if self.iterations < 2:
             raise ValueError(f"iterations must be >= 2 for a Monte Carlo SE, got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class _Design:
@@ -79,8 +85,9 @@ def additive_fit_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     dataset i.  Returns the L least-squares slopes on group codes (1, 2, 3),
     residual standard deviations sqrt(RSS / (N - 2)) and their ratios d.
     RSS is each row's within-group SSE plus the lack of fit: two
-    nonnegative parts that do not cancel.  Raises DegenerateSampleError if
-    any dataset has zero variance in every group and no lack of fit.
+    nonnegative parts that do not cancel.  Raises ValueError if a dataset
+    has zero variance in every group and no lack of fit; the message names
+    the first such dataset i as ``study<i + 1>``.
     """
     if len(blocks) != 3:
         raise ValueError(f"expected 3 groups, got {len(blocks)}")
@@ -91,7 +98,8 @@ def additive_fit_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     curvature = sum(h * m for h, m in zip(_CURVATURE, means))
     sd = np.sqrt((sse + design.curvature_scale * curvature * curvature) / (design.n_total - 2.0))
     if (sd == 0.0).any():
-        raise DegenerateSampleError("sample has zero variance in every group and no slope")
+        first = int((sd == 0.0).argmax()) + 1
+        raise ValueError(f"study{first}: sample has zero variance in every group and no lack of fit")
     return beta, sd, beta / sd
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import multiprocessing
+import re
 import sys
 import threading
 import time
@@ -25,7 +26,7 @@ from addmeta.bias_study import (
 )
 from addmeta.effects import StudySummary, crude_effect, effect_from_d
 from addmeta.pooling import pool_random_effects
-from addmeta.simulate import DegenerateSampleError, _Design, draw_fits
+from addmeta.simulate import _Design, draw_fits
 from test_effects import reference_crude
 from test_simulate import ZeroDraws
 
@@ -114,14 +115,6 @@ class TestSampleStandardized:
         assert float(x.mean()) == pytest.approx(4.0, abs=0.02)
         assert float(x.std(ddof=1)) == pytest.approx(5.0, abs=0.02)
 
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            sample_standardized(DENSITIES["f1"], 0, 0, 1, substream(1))
-        with pytest.raises(ValueError):
-            sample_standardized(DENSITIES["f1"], 5, 0, 0, substream(1))
-        with pytest.raises(ValueError, match="target_sd must be > 0, got 0.0"):
-            sample_standardized(DENSITIES["f1"], 5, np.zeros((2, 1)), np.array([[1.0], [0.0]]), substream(1))
-
     @pytest.mark.parametrize("fid", ["f1", "f2", "f3", "f4"])
     def test_block_rows_equal_the_scalar_formula_bit_for_bit(self, fid):
         dens, n = DENSITIES[fid], 7
@@ -204,10 +197,6 @@ class TestPerturbStudyParams:
             (2.4868751615758855, 2.305163916977293, 1.1089548593326355), rel=1e-12
         )
 
-    def test_rejects_zero_studies(self):
-        with pytest.raises(ValueError):
-            perturb_study_params((4, 5.5, 9), 1.0, 0, substream(1))
-
 
 class TestScenarioValidation:
     def test_grid_memberships_enforced(self):
@@ -234,6 +223,29 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="inner_iterations must be >= 2 for a Monte Carlo SE"):
             Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
                      n_triplet=(10, 15, 5), inner_iterations=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_triplet", (10.9, 15, 5), "n_triplet[0] must be an integer, got 10.9"),
+        ("n_studies", 5.0, "n_studies must be an integer in (5, 10, 15), got 5.0"),
+        ("mc_reps", 2.5, "mc_reps must be an integer >= 2, got 2.5"),
+        ("inner_iterations", 2.5, "inner_iterations must be an integer >= 2, got 2.5"),
+        ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("seed", True, "seed must be an integer >= 0, got True"),
+    ], ids=["float-n-triplet", "float-n-studies", "float-mc-reps", "float-inner-iterations", "float-seed",
+            "bool-seed"])
+    def test_refuses_a_count_or_seed_that_is_not_an_integer(self, field, value, message):
+        good = dict(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0, n_triplet=(10, 15, 5))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scenario(**{**good, field: value})
+
+    def test_takes_numpy_integers_and_seeds_above_2_to_the_53(self):
+        scenario = Scenario(density="f1", n_studies=np.int64(5), mean_vec=(4, 5.5, 7), sigma_ws=1.0,
+                            n_triplet=np.array([10, 15, 5]), mc_reps=np.int32(2),
+                            inner_iterations=np.int64(5), seed=2**64 + 1)
+        assert scenario.n_triplet == (10, 15, 5)
+        plain = dataclasses.replace(scenario, n_studies=5, mc_reps=2, inner_iterations=5)
+        assert run_scenario(scenario) == dataclasses.replace(run_scenario(plain), scenario=scenario)
+        assert run_scenario(plain) != run_scenario(dataclasses.replace(plain, seed=2**64))
 
 
 SMALL = Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=5.0,
@@ -299,14 +311,14 @@ class TestRunScenario:
         assert parallel == serial
 
     def test_failing_replicates_raise_the_serial_error(self, monkeypatch):
-        def degenerate(*args):
-            raise DegenerateSampleError("injected")
+        def failing(*args):
+            raise ValueError("injected")
 
-        monkeypatch.setattr(bias_study, "draw_fits", degenerate)
+        monkeypatch.setattr(bias_study, "draw_fits", failing)
         threads = threading.active_count()
-        with pytest.raises(DegenerateSampleError) as serial:
+        with pytest.raises(ValueError) as serial:
             run_scenario(SMALL)
-        with pytest.raises(DegenerateSampleError) as parallel:
+        with pytest.raises(ValueError) as parallel:
             run_scenario(SMALL, workers=3)
         assert str(parallel.value) == str(serial.value)
         assert threading.active_count() == threads
@@ -316,14 +328,14 @@ class TestRunScenario:
 
         def failing_at_1_and_2(scenario, rep):
             if rep in (1, 2):
-                raise DegenerateSampleError(f"replicate {rep} injected")
+                raise ValueError(f"replicate {rep} injected")
             return replicate(scenario, rep)
 
         monkeypatch.setattr(bias_study, "_replicate", failing_at_1_and_2)
         threads = threading.active_count()
         messages = []
         for workers in (1, 2, 3):
-            with pytest.raises(DegenerateSampleError) as failure:
+            with pytest.raises(ValueError) as failure:
                 run_scenario(SMALL, workers=workers)
             messages.append(str(failure.value))
             assert threading.active_count() == threads
@@ -334,17 +346,17 @@ class TestRunScenario:
         caller = threading.current_thread()
         draw_fits = bias_study.draw_fits
 
-        def degenerate_in_helpers(*args):
+        def failing_in_helpers(*args):
             if threading.current_thread() is not caller:
-                raise DegenerateSampleError("injected")
+                raise RuntimeError("injected")
             return draw_fits(*args)
 
-        monkeypatch.setattr(bias_study, "draw_fits", degenerate_in_helpers)
+        monkeypatch.setattr(bias_study, "draw_fits", failing_in_helpers)
         threads = threading.active_count()
-        # shard 1 of 2 starts at replicate 1
-        with pytest.raises(DegenerateSampleError) as failure:
+        # shard 1 of 2 starts at replicate 1; only a ValueError gets the scenario cell in front
+        with pytest.raises(RuntimeError) as failure:
             run_scenario(SMALL, workers=2)
-        assert str(failure.value) == SMALL_CELL + "replicate 1: injected"
+        assert type(failure.value) is RuntimeError and str(failure.value) == "injected"
         assert threading.active_count() == threads
 
     def test_helper_out_of_float_range_raises_the_serial_error(self, monkeypatch):
@@ -384,7 +396,7 @@ class TestRunScenario:
                 calls["helper"] += 1
             time.sleep(0.05)
             if outcome == "failure" and rep == 3:
-                raise DegenerateSampleError("injected")
+                raise ValueError("injected")
             return (0.0, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(bias_study, "_replicate", slow)
@@ -394,7 +406,7 @@ class TestRunScenario:
         if outcome == "success":
             assert run_scenario(scenario, workers=2).retries == 0
         else:
-            with pytest.raises(KeyboardInterrupt if outcome == "interrupt" else DegenerateSampleError):
+            with pytest.raises(KeyboardInterrupt if outcome == "interrupt" else ValueError):
                 run_scenario(scenario, workers=2)
         assert time.perf_counter() - start < 2
         assert threading.active_count() == threads
@@ -417,10 +429,13 @@ class TestRunScenario:
         with pytest.raises(RuntimeError, match="^bias-study worker 1 ended without its replicates$"):
             run_scenario(SMALL, workers=2)
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None, True])
     def test_refuses_a_worker_count_that_is_not_a_positive_integer(self, workers):
         with pytest.raises(ValueError, match=rf"^workers must be an integer >= 1, got {workers!r}$"):
             run_scenario(SMALL, workers=workers)
+
+    def test_takes_a_numpy_integer_worker_count(self):
+        assert run_scenario(SMALL, workers=np.int64(2)) == run_scenario(SMALL)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_zero_simulated_sd_names_the_replicate_and_study(self, workers, monkeypatch):
@@ -488,7 +503,7 @@ def _reference_fit(groups):
     curvature = sum(h * m for h, m in zip((1.0, -2.0, 1.0), means))
     sd = math.sqrt((sse + design.curvature_scale * curvature * curvature) / (design.n_total - 2.0))
     if sd == 0.0:
-        raise DegenerateSampleError("sample has zero variance in every group and no slope")
+        raise ValueError("sample has zero variance in every group and no lack of fit")
     return beta, sd, beta / sd
 
 

@@ -24,7 +24,6 @@ from addmeta.bias_study import (
 from addmeta.cli import main
 from addmeta._rng import MC_PARAMS, substream
 from addmeta.odds_recovery import ORRecord, combine_reported_ors
-from addmeta.simulate import DegenerateSampleError
 
 
 DATA = Path(__file__).parent / "data"
@@ -37,23 +36,23 @@ def read_rows(path):
 
 # each command's output at --precision 17, as pinned in tests/data: effect on the
 # Table-2 cohorts with each standardizer and the simulation, meta on the last, mc
-# on one scenario per density, and or on the worked example plus tables the OR fit
-# tests fit
+# on one scenario per density and on every cell of the grid, and or on the worked
+# example plus tables the OR fit tests fit
 @pytest.mark.parametrize("argv, pinned", [
-    (["effect", "table2_cohorts.csv", "--standardizer", "pooled"], "table2_effect_pooled.csv"),
-    (["effect", "table2_cohorts.csv", "--standardizer", "pair-mean"], "table2_effect_pair_mean.csv"),
-    (["effect", "table2_cohorts.csv", "--method", "sim", "--iterations", "500", "--seed", "7"],
+    (["effect", DATA / "table2_cohorts.csv", "--standardizer", "pooled"], "table2_effect_pooled.csv"),
+    (["effect", DATA / "table2_cohorts.csv", "--standardizer", "pair-mean"], "table2_effect_pair_mean.csv"),
+    (["effect", DATA / "table2_cohorts.csv", "--method", "sim", "--iterations", "500", "--seed", "7"],
      "table2_effect_sim.csv"),
-    (["meta", "table2_effect_sim.csv"], "table2_meta_sim.csv"),
-    *[(["mc", f"mc_{fid}_scenario.json", "--workers", "1"], f"mc_{fid}_workers1.csv")
+    (["meta", DATA / "table2_effect_sim.csv"], "table2_meta_sim.csv"),
+    *[(["mc", DATA / f"mc_{fid}_scenario.json", "--workers", "1"], f"mc_{fid}_workers1.csv")
       for fid in ("f1", "f2", "f3", "f4")],
-    (["or", "or_records.csv"], "or_combined.csv"),
+    (["mc", "--full-grid", "--reps", "2", "--inner-iterations", "2"], "full_grid_reps2_iter2.csv"),
+    (["or", DATA / "or_records.csv"], "or_combined.csv"),
 ], ids=["effect-pooled", "effect-pair-mean", "effect-sim", "meta-sim", "mc-f1", "mc-f2", "mc-f3", "mc-f4",
-        "or"])
+        "mc-full-grid", "or"])
 def test_output_bytes_match_the_pinned_file(argv, pinned, tmp_path):
-    command, name, *flags = argv
     out = tmp_path / pinned
-    assert main([command, str(DATA / name), *flags, "--precision", "17", "-o", str(out)]) == 0
+    assert main([*map(str, argv), "--precision", "17", "-o", str(out)]) == 0
     assert out.read_bytes() == (DATA / pinned).read_bytes()
 
 
@@ -358,7 +357,7 @@ class TestMcCommand:
 
         def failing_in_helpers(scenario, rep):
             if threading.current_thread() is not caller:
-                raise DegenerateSampleError(f"replicate {rep} of scenario injected")
+                raise ValueError(f"replicate {rep} of scenario injected")
             return replicate(scenario, rep)
 
         monkeypatch.setattr(bias_study, "_replicate", failing_in_helpers)

@@ -20,6 +20,7 @@ from addmeta.odds_recovery import (
     NegativeDiscriminantError,
     ORRecord,
     SeparationError,
+    _complete,
     _logistic,
     _score_and_information,
     combine_reported_ors,
@@ -256,6 +257,11 @@ class TestRecoverTables:
         with pytest.raises(NegativeDiscriminantError):
             recover_tables(record)
 
+    def test_completion_with_a_zero_denominator_is_infeasible(self):
+        # or_value * m1 + a * (1 - or_value) = 2 * 10 + 20 * (1 - 2) = 0
+        with pytest.raises(InfeasibleTableError, match="^degenerate completion at a=20.0$"):
+            _complete(20.0, 2.0, 10, 5)
+
     def test_grazing_root_lost_to_rounding_is_kept(self):
         # the CI is rounded from the se^2 at which the two roots meet, at (20, 10, 10, 20)
         record = ORRecord("AB_vs_AA", 4.0, 1.367191, 11.70283, 30, 30)
@@ -340,6 +346,10 @@ class TestSelectPairing:
         assert merged.ab == (18, 12)
         assert merged.aa == (10, 20)
         assert merged.ab_distance == 0.0
+
+    def test_merged_table_refuses_a_negative_cell(self):
+        with pytest.raises(ValueError, match=r"^merged table has a negative cell: MergedTable\(bb=\(1, -1\)"):
+            MergedTable(bb=(1, -1), ab=(2, 2), aa=(3, 3), ab_branch="plus", bb_branch="plus", ab_distance=0.0)
 
     def test_invariant_to_candidate_list_order(self):
         ab = recover_tables(AB_RECORD)
@@ -563,6 +573,18 @@ class TestScalarFit:
             info[1, 1] += w * Fraction(x) ** 2
         exact = info[0, 0] / (info[0, 0] * info[1, 1] - info[0, 1] ** 2)
         assert math.isclose(i00 / det, float(exact), rel_tol=1e-12)
+
+    def test_information_with_every_weight_underflowed_is_singular(self):
+        # at b0 = 800, q = e^-800 underflows to 0, so every weight total * p * q is 0
+        groups = [(3.0, 10.0, 1.0), (5.0, 10.0, 2.0), (7.0, 10.0, 3.0)]
+        with pytest.raises(SeparationError, match="^singular information matrix at iteration 4$"):
+            _score_and_information(groups, 800.0, 0.0, 4)
+
+    def test_information_that_overflows_is_not_finite(self):
+        # totals of 1e308 at b = 0 give weights of 2.5e307: i11, their sum times x^2, overflows
+        groups = [(1e307, 1e308, 1.0), (5e307, 1e308, 2.0), (7e307, 1e308, 3.0)]
+        with pytest.raises(SeparationError, match="^information matrix not finite after 3 iterations$"):
+            _score_and_information(groups, 0.0, 0.0, 3)
 
     @pytest.mark.parametrize("eta", [745.0, 746.0, 1e4, 1e308, math.inf])
     def test_logistic_saturates_without_overflow(self, eta):

@@ -11,7 +11,6 @@ from addmeta import simulate
 from addmeta._rng import SIM_DRAWS, substream
 from addmeta.effects import AdditiveEffect, StudySummary, cohens_d_variance, crude_effect, hedges_j
 from addmeta.simulate import (
-    DegenerateSampleError,
     SimConfig,
     additive_fit_rows,
     additive_regression,
@@ -21,6 +20,7 @@ from addmeta.simulate import (
 
 ZHH = StudySummary("ZHH-FE", (3.24, 2.44, 3.64), (2.11, 1.23, 2.42), (25, 24, 21))
 SATIETY = StudySummary("SATIETY", (11.45, 12.16, 14.73), (8.29, 8.38, 9.63), (63, 63, 42))
+DEGENERATE = "sample has zero variance in every group and no lack of fit"
 
 
 def _literal_fit(groups):
@@ -65,8 +65,12 @@ class TestAdditiveRegression:
 
     def test_degenerate_sample_raises(self):
         groups = [np.full(5, 2.0), np.full(5, 2.0), np.full(5, 2.0)]
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(ValueError, match=f"^study1: {DEGENERATE}$"):
             additive_regression(groups)
+
+    def test_refuses_other_than_three_groups(self):
+        with pytest.raises(ValueError, match="^expected 3 groups, got 2$"):
+            additive_fit_rows([np.ones((1, 4)), np.ones((1, 4))])
 
     def test_constant_groups_on_a_line_are_fine(self):
         # zero within-group variance but nonzero lack of fit: sd > 0
@@ -128,7 +132,9 @@ def test_one_degenerate_study_in_the_stack_raises(slope):
     blocks = [rng.normal(code, 1.0, (4, k)) for code, k in zip((1, 2, 3), (10, 15, 5))]
     for code, block in zip((1, 2, 3), blocks):
         block[2] = 2.0 + slope * code
-    with pytest.raises(DegenerateSampleError):
+        block[3] = 2.0 + slope * code
+    # the error names the first degenerate row, study 3 of 4
+    with pytest.raises(ValueError, match=f"^study3: {DEGENERATE}$"):
         additive_fit_rows(blocks)
 
 
@@ -360,6 +366,19 @@ class TestSimEffect:
         # one draw has no Monte Carlo SE for d_se
         with pytest.raises(ValueError, match="iterations must be >= 2 for a Monte Carlo SE"):
             SimConfig(iterations=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("iterations", 2.5, "iterations must be an integer >= 2, got 2.5"),
+        ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ], ids=["float-iterations", "float-seed", "negative-seed"])
+    def test_config_refuses_a_count_or_seed_it_cannot_run(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimConfig(**{field: value})
+
+    def test_config_takes_numpy_integers_and_seeds_above_2_to_the_53(self):
+        numpy_ints = SimConfig(iterations=np.int64(50), seed=np.uint64(2**63 + 1))
+        assert sim_effect(ZHH, numpy_ints) == sim_effect(ZHH, SimConfig(iterations=50, seed=2**63 + 1))
 
 
 def _log_uniform(low_exp: float, high_exp: float):
