@@ -142,9 +142,9 @@ class Scenario:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name, rule in (("n_studies", f" in {STUDY_COUNTS}"), ("mc_reps", " >= 2"),
-                           ("inner_iterations", " >= 2"), ("seed", " >= 0")):
-            require_integer(name, getattr(self, name), rule)
+        # 2 replicates and 2 inner iterations, so that there is a Monte Carlo SE
+        for name, low in (("n_studies", None), ("mc_reps", 2), ("inner_iterations", 2), ("seed", 0)):
+            require_integer(name, getattr(self, name), low)
         for i, k in enumerate(self.n_triplet):
             require_integer(f"n_triplet[{i}]", k)
         if self.density not in DENSITIES:
@@ -160,14 +160,6 @@ class Scenario:
         object.__setattr__(self, "n_triplet", tuple(int(x) for x in self.n_triplet))
         if self.n_triplet not in N_TRIPLETS:
             raise ValueError(f"n_triplet must be one of {N_TRIPLETS}, got {self.n_triplet}")
-        if self.mc_reps < 2:
-            raise ValueError(f"mc_reps must be >= 2 for a Monte Carlo SE, got {self.mc_reps}")
-        if self.inner_iterations < 2:
-            raise ValueError(
-                f"inner_iterations must be >= 2 for a Monte Carlo SE, got {self.inner_iterations}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def full_grid(**fields) -> list[Scenario]:
@@ -249,9 +241,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     interrupt included, stops the helpers within one replicate and joins
     them.  The result, or the error raised, is the same at any worker count.
     """
-    require_integer("workers", workers, " >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    require_integer("workers", workers, 1)
     reps = scenario.mc_reps
     shards = min(workers, reps)
     rows = [None] * reps

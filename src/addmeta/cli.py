@@ -103,7 +103,7 @@ def _cmd_or(args) -> None:
     for study, ab, bb in io.read_or_records(args.input):
         try:
             rows.append((study, *combine_reported_ors(ab, bb)))
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{args.input}: study {study!r}: {exc}") from exc
     io.write_combined_ors(args.output, rows, args.precision)
 

@@ -128,21 +128,16 @@ def crude_beta(m, sd, n: Sequence[int], standardizer: Standardizer = "pair-mean"
 
 def cohens_d_variance(n_a: int, n_b: int, d: float) -> float:
     """Approximate variance of Cohen's d for a two-group comparison."""
-    if n_a < 1 or n_b < 1:
-        raise ValueError(f"group sizes must be >= 1, got ({n_a}, {n_b})")
     return (n_a + n_b) / (n_a * n_b) + d * d / (2.0 * (n_a + n_b))
 
 
 def hedges_j(n_a: int, n_b: int) -> float:
     """Small-sample correction factor converting d to Hedges' g.
 
-    ``J = 1 - 3 / (4*(n_a + n_b - 2) - 1)``; lies in (0, 1) and increases
-    toward 1 as the total sample size grows.
+    ``J = 1 - 3 / (4*(n_a + n_b - 2) - 1)``; for group sizes >= 2, as
+    ``StudySummary`` admits them, it lies in (0, 1) and increases toward 1.
     """
-    denom = 4 * (n_a + n_b - 2) - 1
-    if n_a + n_b <= 2 or denom <= 0:
-        raise ValueError(f"need n_a + n_b > 2, got {n_a} + {n_b}")
-    return 1.0 - 3.0 / denom
+    return 1.0 - 3.0 / (4 * (n_a + n_b - 2) - 1)
 
 
 def pairwise_g(d, n: Sequence[int]):

@@ -28,22 +28,6 @@ Label = Literal["AB_vs_AA", "BB_vs_AB"]
 Branch = Literal["plus", "minus"]
 
 
-class NegativeDiscriminantError(ValueError):
-    """The quadratic has no real root: the record is internally inconsistent."""
-
-
-class InfeasibleTableError(ValueError):
-    """No recovered candidate fits inside the reported margins."""
-
-
-class SeparationError(RuntimeError):
-    """The logistic fit has no finite maximum (separation across genotype codes)."""
-
-
-class ConvergenceError(RuntimeError):
-    """The logistic fit failed to converge within the iteration budget."""
-
-
 @dataclass(frozen=True)
 class ORRecord:
     """One reported comparison: odds ratio, 95% CI and the two group totals.
@@ -104,10 +88,6 @@ class MergedTable:
     bb_branch: Branch
     ab_distance: float
 
-    def __post_init__(self):
-        if any(v < 0 for row in (self.bb, self.ab, self.aa) for v in row):
-            raise ValueError(f"merged table has a negative cell: {self}")
-
     @property
     def pairing(self) -> str:
         return f"{self.ab_branch}+{self.bb_branch}"
@@ -125,8 +105,6 @@ class CombinedOR:
 
 def se_from_ci(ci_lo: float, ci_hi: float) -> float:
     """Standard error of log-OR backed out of a 95% interval."""
-    if not (0 < ci_lo < ci_hi):
-        raise ValueError(f"need 0 < ci_lo < ci_hi, got ({ci_lo}, {ci_hi})")
     return (math.log(ci_hi) - math.log(ci_lo)) / (2.0 * Z_95)
 
 
@@ -137,7 +115,7 @@ def _round_half_away(x: float) -> int:
 def _complete(a: float, or_value: float, m1: int, m2: int) -> tuple[float, float, float, float]:
     denom = or_value * m1 + a * (1.0 - or_value)
     if denom == 0:
-        raise InfeasibleTableError(f"degenerate completion at a={a}")
+        raise ValueError(f"degenerate completion at a={a}")
     b = m1 - a
     c = a * m2 / denom
     d = or_value * m2 * (m1 - a) / denom
@@ -167,11 +145,11 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
     lam = or_value * m1 * (2.0 * (1.0 - or_value) - m2 * se2)
     gamma = or_value * m1 * (or_value * m1 + m2)
     if not all(map(math.isfinite, (alpha, lam, gamma))):
-        raise InfeasibleTableError(f"{record.label} record: the quadratic's coefficients leave the "
-                                   f"floating-point range for {record}")
+        raise ValueError(f"{record.label} record: the quadratic's coefficients leave the "
+                         f"floating-point range for {record}")
     disc = lam * lam - 4.0 * alpha * gamma
     if disc <= -1e-9 * max(lam * lam, 1.0):
-        raise NegativeDiscriminantError(f"{record.label} record: no real solution for {record}")
+        raise ValueError(f"{record.label} record: no real solution for {record}")
     grazing = disc < 0  # a double root lost to rounding, if it lies inside the margins
     sqrt_disc = math.sqrt(max(disc, 0.0))
     candidates = []
@@ -201,10 +179,9 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
         )
     if not candidates:
         if grazing:
-            raise NegativeDiscriminantError(f"{record.label} record: no real solution for {record}")
-        raise InfeasibleTableError(
-            f"{record.label} record: both recovered tables fall outside the margins for {record}"
-        )
+            raise ValueError(f"{record.label} record: no real solution for {record}")
+        raise ValueError(f"{record.label} record: both recovered tables fall outside the margins "
+                         f"for {record}")
     return candidates
 
 
@@ -230,8 +207,6 @@ def select_pairing(
     ``ab_margin_top`` / ``ab_margin_bottom`` are the AB totals as reported in
     the AB_vs_AA and BB_vs_AB records respectively (normally equal).
     """
-    if not ab_aa_candidates or not bb_ab_candidates:
-        raise ValueError("need at least one candidate per record")
     best = None
     for ab_cand in ab_aa_candidates:
         for bb_cand in bb_ab_candidates:
@@ -278,12 +253,12 @@ def _score_and_information(groups, b0: float, b1: float, iteration: int):
         i11 += x * (x * w)
         weights.append((w, x))
     if not (math.isfinite(i00) and math.isfinite(i01) and math.isfinite(i11)):
-        raise SeparationError(f"information matrix not finite after {iteration} iterations")
+        raise ValueError(f"information matrix not finite after {iteration} iterations")
     # Cauchy-Binet: i00*i11 - i01^2 as a sum of nonnegative terms, which cannot
     # cancel when one group outweighs the others by many orders of magnitude
     det = sum(wi * wj * (xi - xj) ** 2 for (wi, xi), (wj, xj) in itertools.combinations(weights, 2))
     if det == 0:
-        raise SeparationError(f"singular information matrix at iteration {iteration}")
+        raise ValueError(f"singular information matrix at iteration {iteration}")
     return s0, s1, i00, i01, i11, det
 
 
@@ -347,10 +322,8 @@ def _logistic_fit(groups) -> tuple[float, float, int]:
         if (abs(s0) < 1e-10 and abs(s1) < 1e-10) or (abs(step0) < 1e-10 and abs(step1) < 1e-10):
             _, _, i00, _, _, det = _score_and_information(groups, b0, b1, iteration)
             return b1, i00 / det, iteration
-    raise ConvergenceError(
-        f"no convergence in {MAX_NEWTON_ITERATIONS} iterations: last b0={b0:.6g}, b1={b1:.6g}, "
-        f"max |score|={max(abs(s0), abs(s1)):.3g}"
-    )
+    raise ValueError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations: last b0={b0:.6g}, "
+                     f"b1={b1:.6g}, max |score|={max(abs(s0), abs(s1)):.3g}")
 
 
 def combined_or(merged: MergedTable) -> CombinedOR:
@@ -370,14 +343,13 @@ def combined_or(merged: MergedTable) -> CombinedOR:
     if total_present == 0 or total_present == sum(total for _, total, _ in groups):
         raise ValueError("phenotype vector is constant; no odds ratio is identifiable")
     if _separated(groups):
-        raise SeparationError("no finite Wald interval: the genotype code separates the present from "
-                              "the absent counts, so the slope has no finite maximum-likelihood estimate")
+        raise ValueError("no finite Wald interval: the genotype code separates the present from "
+                         "the absent counts, so the slope has no finite maximum-likelihood estimate")
     b1, variance, iterations = _logistic_fit(groups)
     # fitted probabilities rounded to 0 or 1 leave the slope's likelihood flat
     if not (variance > 0 and abs(b1) + Z_95 * math.sqrt(variance) < _LOG_FLOAT_MAX):
-        raise SeparationError(
-            f"no finite Wald interval (variance of b1 {variance:.3g}) after {iterations} iterations"
-        )
+        raise ValueError(f"no finite Wald interval (variance of b1 {variance:.3g}) after {iterations} "
+                         "iterations")
     se = math.sqrt(variance)
     return CombinedOR(
         or_value=math.exp(b1),

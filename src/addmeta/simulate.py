@@ -41,9 +41,11 @@ _CODES = np.array([1.0, 2.0, 3.0])
 _CURVATURE = np.array([1.0, -2.0, 1.0])
 
 
-def require_integer(name: str, value, rule: str = "") -> None:
-    """Refuse a count or seed ``value`` unless it is a Python or numpy integer that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+def require_integer(name: str, value, low: int | None = None) -> None:
+    """Refuse a count or seed ``value`` unless it is a Python or numpy integer, not a bool, >= ``low``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or (low is not None and value < low):
+        rule = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be an integer{rule}, got {value!r}")
 
 
@@ -55,12 +57,8 @@ class SimConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        require_integer("iterations", self.iterations, " >= 2")
-        require_integer("seed", self.seed, " >= 0")
-        if self.iterations < 2:
-            raise ValueError(f"iterations must be >= 2 for a Monte Carlo SE, got {self.iterations}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_integer("iterations", self.iterations, 2)  # 2, so that there is a Monte Carlo SE
+        require_integer("seed", self.seed, 0)
 
 
 class _Design:
@@ -89,8 +87,6 @@ def additive_fit_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     has zero variance in every group and no lack of fit; the message names
     the first such dataset i as ``study<i + 1>``.
     """
-    if len(blocks) != 3:
-        raise ValueError(f"expected 3 groups, got {len(blocks)}")
     design = _design(tuple(block.shape[1] for block in blocks))
     means = [block.sum(axis=1) / block.shape[1] for block in blocks]
     sse = sum(((block - m[:, None]) ** 2).sum(axis=1) for block, m in zip(blocks, means))

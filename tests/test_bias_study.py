@@ -217,16 +217,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
                      n_triplet=(10, 15, 5), mc_reps=0)
-        with pytest.raises(ValueError, match="mc_reps must be >= 2"):
+        with pytest.raises(ValueError, match="^mc_reps must be an integer >= 2, got 1$"):
             Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
                      n_triplet=(10, 15, 5), mc_reps=1)
-        with pytest.raises(ValueError, match="inner_iterations must be >= 2 for a Monte Carlo SE"):
+        with pytest.raises(ValueError, match="^inner_iterations must be an integer >= 2, got 1$"):
             Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
                      n_triplet=(10, 15, 5), inner_iterations=1)
 
     @pytest.mark.parametrize("field, value, message", [
         ("n_triplet", (10.9, 15, 5), "n_triplet[0] must be an integer, got 10.9"),
-        ("n_studies", 5.0, "n_studies must be an integer in (5, 10, 15), got 5.0"),
+        ("n_studies", 5.0, "n_studies must be an integer, got 5.0"),
         ("mc_reps", 2.5, "mc_reps must be an integer >= 2, got 2.5"),
         ("inner_iterations", 2.5, "inner_iterations must be an integer >= 2, got 2.5"),
         ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),

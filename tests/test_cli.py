@@ -56,6 +56,20 @@ def test_output_bytes_match_the_pinned_file(argv, pinned, tmp_path):
     assert out.read_bytes() == (DATA / pinned).read_bytes()
 
 
+@pytest.mark.parametrize("fid", ["f1", "f2", "f3", "f4"])
+def test_one_cell_writes_its_row_of_the_full_grid(fid, tmp_path):
+    # a cell's result does not depend on the other cells of the run
+    out = tmp_path / "cell.csv"
+    assert main(["mc", str(DATA / f"mc_{fid}_scenario.json"), "--reps", "2", "--inner-iterations", "2",
+                 "--seed", "20270405", "--precision", "17", "-o", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    grid_header, *grid_rows = (DATA / "full_grid_reps2_iter2.csv").read_text().splitlines()
+    # the first nine columns (density, L, sigma_ws, m1-m3, n1-n3) name the cell
+    key = row.split(",")[:9]
+    (grid_row,) = [line for line in grid_rows if line.split(",")[:9] == key]
+    assert (header, row) == (grid_header, grid_row)
+
+
 def test_package_namespace_holds_one_entry_point_per_step():
     assert sorted(addmeta.__all__) == [
         "ORRecord", "Scenario", "SimConfig", "StudySummary", "combine_reported_ors", "crude_beta",
@@ -338,8 +352,8 @@ class TestMcCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     @pytest.mark.parametrize("flag, message", [
-        ("--reps", "mc_reps must be >= 2"),
-        ("--inner-iterations", "inner_iterations must be >= 2 for a Monte Carlo SE"),
+        ("--reps", "mc_reps must be an integer >= 2, got 0"),
+        ("--inner-iterations", "inner_iterations must be an integer >= 2, got 0"),
     ])
     def test_full_grid_refuses_a_zero_override(self, flag, message, tmp_path, monkeypatch, capsys):
         def run_scenario(*args, **kwargs):

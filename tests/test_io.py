@@ -189,7 +189,7 @@ def test_one_replicate_from_the_command_line_is_refused(tmp_path, capsys):
     config.write_text(SCENARIO + '"mc_reps": 4}')
     assert main(["mc", str(config), "--reps", "1", "-o", str(tmp_path / "bias.csv")]) == 1
     err = capsys.readouterr().err
-    assert f"{config}: mc_reps must be >= 2" in err and "Traceback" not in err
+    assert f"{config}: mc_reps must be an integer >= 2, got 1" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
@@ -198,7 +198,7 @@ def test_one_inner_iteration_from_the_command_line_is_refused(tmp_path, capsys):
     config.write_text(SCENARIO + '"mc_reps": 4}')
     assert main(["mc", str(config), "--inner-iterations", "1", "-o", str(tmp_path / "bias.csv")]) == 1
     err = capsys.readouterr().err
-    assert f"{config}: inner_iterations must be >= 2 for a Monte Carlo SE" in err
+    assert f"{config}: inner_iterations must be an integer >= 2, got 1" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 

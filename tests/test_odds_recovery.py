@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,8 @@ from addmeta.odds_recovery import (
     MAX_NEWTON_ITERATIONS,
     CandidateTable,
     CombinedOR,
-    ConvergenceError,
-    InfeasibleTableError,
     MergedTable,
-    NegativeDiscriminantError,
     ORRecord,
-    SeparationError,
     _complete,
     _logistic,
     _score_and_information,
@@ -32,6 +29,10 @@ from addmeta.odds_recovery import (
 
 AB_RECORD = ORRecord("AB_vs_AA", 3.00, 1.05, 8.60, 30, 30)
 BB_RECORD = ORRecord("BB_vs_AB", 1.00, 0.36, 2.81, 30, 30)
+
+# the two ways a logistic fit fails, told apart by message: no finite maximum, or out of steps
+SEPARATION = "no finite Wald interval|singular information matrix|information matrix not finite"
+NON_CONVERGENCE = r"no convergence in \d+ iterations"
 
 
 def grid_search_logit_slope(merged: MergedTable) -> float:
@@ -71,15 +72,15 @@ def reference_logistic_fit(y_counts: np.ndarray, totals: np.ndarray, x: np.ndarr
         weights = totals * p * (1.0 - p)
         info = design.T @ (weights[:, None] * design)
         if not np.all(np.isfinite(info)):
-            raise SeparationError(f"information matrix not finite after {iteration} iterations")
+            raise ValueError(f"information matrix not finite after {iteration} iterations")
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
-            raise SeparationError(f"singular information matrix at iteration {iteration}") from exc
+            raise ValueError(f"singular information matrix at iteration {iteration}") from exc
         beta = beta + step
         trail.append((iteration, float(beta[0]), float(beta[1]), float(np.max(np.abs(score)))))
         if abs(beta[1]) > 20.0:
-            raise SeparationError(f"slope diverging (b1={beta[1]:.3g}) after {iteration} iterations")
+            raise ValueError(f"slope diverging (b1={beta[1]:.3g}) after {iteration} iterations")
         if np.max(np.abs(score)) < 1e-10 or np.max(np.abs(step)) < 1e-10:
             eta = design @ beta
             p = 1.0 / (1.0 + np.exp(-eta))
@@ -87,7 +88,7 @@ def reference_logistic_fit(y_counts: np.ndarray, totals: np.ndarray, x: np.ndarr
             info = design.T @ (weights[:, None] * design)
             covariance = np.linalg.inv(info)
             return beta, covariance, iteration
-    raise ConvergenceError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations; trail={trail}")
+    raise ValueError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations; trail={trail}")
 
 
 def reference_combined_or(merged: MergedTable) -> CombinedOR:
@@ -175,12 +176,6 @@ class TestSeFromCi:
     def test_null_interval(self):
         assert se_from_ci(0.36, 2.81) == pytest.approx(0.5241926, abs=1e-6)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            se_from_ci(2.0, 1.0)
-        with pytest.raises(ValueError):
-            se_from_ci(0.0, 1.0)
-
 
 class TestORRecord:
     def test_or_outside_ci_rejected(self):
@@ -254,12 +249,12 @@ class TestRecoverTables:
 
     def test_inconsistent_record_raises_negative_discriminant(self):
         record = ORRecord("AB_vs_AA", 3.0, 2.99, 3.01, 30, 30)
-        with pytest.raises(NegativeDiscriminantError):
+        with pytest.raises(ValueError, match="^AB_vs_AA record: no real solution for ORRecord"):
             recover_tables(record)
 
     def test_completion_with_a_zero_denominator_is_infeasible(self):
         # or_value * m1 + a * (1 - or_value) = 2 * 10 + 20 * (1 - 2) = 0
-        with pytest.raises(InfeasibleTableError, match="^degenerate completion at a=20.0$"):
+        with pytest.raises(ValueError, match="^degenerate completion at a=20.0$"):
             _complete(20.0, 2.0, 10, 5)
 
     def test_grazing_root_lost_to_rounding_is_kept(self):
@@ -285,7 +280,7 @@ class TestRecoverTables:
         record = ORRecord("AB_vs_AA", 3.2627e16, 1.9085e16, 5.5779e16, 3791159029, 7358272510)
         disc, _ = discriminant(record)
         assert disc == 0.0
-        with pytest.raises(InfeasibleTableError, match="AB_vs_AA record: both recovered tables fall outside"):
+        with pytest.raises(ValueError, match="AB_vs_AA record: both recovered tables fall outside"):
             recover_tables(record)
 
     @pytest.mark.parametrize("or_value, ci_lo, ci_hi", [
@@ -294,8 +289,8 @@ class TestRecoverTables:
     ])
     def test_coefficients_past_the_float_range_raise_infeasible(self, or_value, ci_lo, ci_hi):
         record = ORRecord("BB_vs_AB", or_value, ci_lo, ci_hi, 50, 50)
-        with pytest.raises(InfeasibleTableError, match="BB_vs_AB record: the quadratic's coefficients leave "
-                                                       r"the floating-point range for ORRecord\("):
+        with pytest.raises(ValueError, match="BB_vs_AB record: the quadratic's coefficients leave "
+                                             r"the floating-point range for ORRecord\("):
             recover_tables(record)
 
     def test_grazing_root_outside_the_margins_is_no_real_solution(self):
@@ -304,7 +299,7 @@ class TestRecoverTables:
         record = ORRecord("AB_vs_AA", 20.9, 20.88, 20.92, 234518998, 1)
         disc, lam = discriminant(record)
         assert -1e-9 * lam * lam < disc < 0.0
-        with pytest.raises(NegativeDiscriminantError, match="AB_vs_AA record: no real solution"):
+        with pytest.raises(ValueError, match="AB_vs_AA record: no real solution"):
             recover_tables(record)
 
     def test_round_trip_1000_random_tables(self):
@@ -347,10 +342,6 @@ class TestSelectPairing:
         assert merged.aa == (10, 20)
         assert merged.ab_distance == 0.0
 
-    def test_merged_table_refuses_a_negative_cell(self):
-        with pytest.raises(ValueError, match=r"^merged table has a negative cell: MergedTable\(bb=\(1, -1\)"):
-            MergedTable(bb=(1, -1), ab=(2, 2), aa=(3, 3), ab_branch="plus", bb_branch="plus", ab_distance=0.0)
-
     def test_invariant_to_candidate_list_order(self):
         ab = recover_tables(AB_RECORD)
         bb = recover_tables(BB_RECORD)
@@ -380,10 +371,6 @@ class TestSelectPairing:
         merged = select_pairing(ab, bb, 30, 30)
         assert merged.ab_distance == pytest.approx(math.sqrt(2), rel=1e-12)
         assert merged.ab == (18, 12)  # (17.5, 12.5) -> present 18, absent repaired to 12
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            select_pairing([], recover_tables(BB_RECORD), 30, 30)
 
 
 TABLE7 = MergedTable(bb=(18, 12), ab=(18, 12), aa=(10, 20),
@@ -416,7 +403,7 @@ class TestCombinedOR:
     def test_separation_detected(self):
         merged = MergedTable(bb=(30, 0), ab=(15, 15), aa=(0, 30),
                              ab_branch="plus", bb_branch="plus", ab_distance=0.0)
-        with pytest.raises(SeparationError):
+        with pytest.raises(ValueError, match="genotype code separates the present from the absent"):
             combined_or(merged)
 
     @pytest.mark.parametrize("rows", [
@@ -427,7 +414,7 @@ class TestCombinedOR:
         [(0, 1), (0, 0), (1, 1)],  # quasi at the top code
     ])
     def test_separation_is_decided_from_the_counts(self, rows):
-        with pytest.raises(SeparationError, match="genotype code separates the present from the absent"):
+        with pytest.raises(ValueError, match="genotype code separates the present from the absent"):
             combined_or(merged_table(*rows))
 
     @pytest.mark.parametrize("rows", [
@@ -477,11 +464,15 @@ class TestScalarFit:
             reference = reference_combined_or(merged)
         except OverflowError:
             # the reference's Wald interval did not fit in a float; the scalar fit refuses it
-            with pytest.raises(SeparationError, match="no finite Wald interval"):
+            with pytest.raises(ValueError, match="no finite Wald interval"):
                 combined_or(merged)
             return
-        except (ValueError, RuntimeError) as exc:
-            with pytest.raises(type(exc)):
+        except ValueError as exc:
+            # the reference's slope cap is separation too; its other refusals are worded alike
+            message = str(exc)
+            expected = (SEPARATION if re.search(f"{SEPARATION}|slope diverging", message)
+                        else NON_CONVERGENCE if re.search(NON_CONVERGENCE, message) else re.escape(message))
+            with pytest.raises(ValueError, match=expected):
                 combined_or(merged)
             return
         fitted = combined_or(merged)
@@ -497,10 +488,8 @@ class TestScalarFit:
         try:
             fitted = combined_or(merged_table(*rows))
         except ValueError as exc:
-            assert "constant" in str(exc) or "two genotype groups" in str(exc)
-            return
-        except (SeparationError, ConvergenceError):
             # an extreme table can need more Newton steps than the budget allows
+            assert re.search(f"constant|two genotype groups|{SEPARATION}|{NON_CONVERGENCE}", str(exc))
             return
         values = (fitted.or_value, fitted.ci_lo, fitted.ci_hi, fitted.beta, fitted.se_beta)
         assert all(math.isfinite(v) for v in values)
@@ -509,12 +498,12 @@ class TestScalarFit:
     def test_saturated_probabilities_with_unbounded_interval_are_separation(self):
         # groups 2 and 3 have no present count: the fitted probabilities round to 0
         # there, the fit stops, and the slope's SE is about 1.7e5
-        with pytest.raises(SeparationError, match="no finite Wald interval"):
+        with pytest.raises(ValueError, match="no finite Wald interval"):
             combined_or(merged_table((2, 66589981), (0, 1), (0, 375301268)))
 
     def test_convergence_error_is_one_short_line(self, monkeypatch):
         monkeypatch.setattr(odds_recovery, "MAX_NEWTON_ITERATIONS", 1)
-        with pytest.raises(ConvergenceError) as failure:
+        with pytest.raises(ValueError, match=NON_CONVERGENCE) as failure:
             combined_or(merged_table((990347765, 445), (230, 489), (152319088, 178426492)))
         message = str(failure.value)
         assert len(message) < 300 and "\n" not in message
@@ -537,7 +526,7 @@ class TestScalarFit:
         assert fitted.iterations_used == 25
         # plain Newton (a smallest step fraction of 2 halves no step) overshoots twice from b = 0
         monkeypatch.setattr(odds_recovery, "MIN_STEP_SCALE", 2.0)
-        with pytest.raises(ConvergenceError, match=f"in {MAX_NEWTON_ITERATIONS} iterations"):
+        with pytest.raises(ValueError, match=f"no convergence in {MAX_NEWTON_ITERATIONS} iterations"):
             combined_or(merged)
         monkeypatch.setattr(odds_recovery, "MAX_NEWTON_ITERATIONS", 500)
         plain = combined_or(merged)
@@ -555,8 +544,8 @@ class TestScalarFit:
             merged = merged_table(*((count(), count()) for _ in range(3)))
             try:
                 combined_or(merged)
-            except SeparationError:
-                pass
+            except ValueError as exc:
+                assert re.match(SEPARATION, str(exc))
 
     @pytest.mark.parametrize("b0, b1", [(0.0, 0.0), (-0.35, -0.1), (-0.4, 0.3), (2.0, -1.5)])
     def test_variance_matches_exact_arithmetic_at_a_lopsided_table(self, b0, b1):
@@ -577,13 +566,13 @@ class TestScalarFit:
     def test_information_with_every_weight_underflowed_is_singular(self):
         # at b0 = 800, q = e^-800 underflows to 0, so every weight total * p * q is 0
         groups = [(3.0, 10.0, 1.0), (5.0, 10.0, 2.0), (7.0, 10.0, 3.0)]
-        with pytest.raises(SeparationError, match="^singular information matrix at iteration 4$"):
+        with pytest.raises(ValueError, match="^singular information matrix at iteration 4$"):
             _score_and_information(groups, 800.0, 0.0, 4)
 
     def test_information_that_overflows_is_not_finite(self):
         # totals of 1e308 at b = 0 give weights of 2.5e307: i11, their sum times x^2, overflows
         groups = [(1e307, 1e308, 1.0), (5e307, 1e308, 2.0), (7e307, 1e308, 3.0)]
-        with pytest.raises(SeparationError, match="^information matrix not finite after 3 iterations$"):
+        with pytest.raises(ValueError, match="^information matrix not finite after 3 iterations$"):
             _score_and_information(groups, 0.0, 0.0, 3)
 
     @pytest.mark.parametrize("eta", [745.0, 746.0, 1e4, 1e308, math.inf])
@@ -594,6 +583,30 @@ class TestScalarFit:
     def test_logistic_is_symmetric(self):
         for eta in (0.0, 1e-12, 0.5, 3.0, 36.0):
             assert _logistic(eta) + _logistic(-eta) == pytest.approx(1.0, rel=1e-15)
+
+
+# a count log-uniform on 1-5000, so no table is separated
+CELL = st.floats(0.0, math.log(5000.0)).map(lambda e: int(math.exp(e)))
+ROWS = st.lists(st.tuples(CELL, CELL), min_size=3, max_size=3)
+
+
+def assert_negated(fit: CombinedOR, mirrored: CombinedOR) -> None:
+    # a slope that is zero up to rounding has no relative precision; the step count may differ
+    assert math.isclose(mirrored.beta, -fit.beta, rel_tol=1e-10, abs_tol=1e-13)
+    assert math.isclose(mirrored.se_beta, fit.se_beta, rel_tol=1e-10)
+
+
+class TestRelations:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=ROWS)
+    def test_swapping_present_and_absent_negates_the_slope(self, rows):
+        swapped = [(absent, present) for present, absent in rows]
+        assert_negated(combined_or(merged_table(*rows)), combined_or(merged_table(*swapped)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=ROWS)
+    def test_reversing_the_genotype_order_negates_the_slope(self, rows):
+        assert_negated(combined_or(merged_table(*rows)), combined_or(merged_table(*reversed(rows))))
 
 
 def test_full_pipeline_matches_published_example():

@@ -68,10 +68,6 @@ class TestAdditiveRegression:
         with pytest.raises(ValueError, match=f"^study1: {DEGENERATE}$"):
             additive_regression(groups)
 
-    def test_refuses_other_than_three_groups(self):
-        with pytest.raises(ValueError, match="^expected 3 groups, got 2$"):
-            additive_fit_rows([np.ones((1, 4)), np.ones((1, 4))])
-
     def test_constant_groups_on_a_line_are_fine(self):
         # zero within-group variance but nonzero lack of fit: sd > 0
         _, sd, d = additive_regression([np.full(5, 1.0), np.full(5, 2.5), np.full(5, 3.0)])
@@ -364,13 +360,13 @@ class TestSimEffect:
         with pytest.raises(ValueError):
             SimConfig(iterations=0)
         # one draw has no Monte Carlo SE for d_se
-        with pytest.raises(ValueError, match="iterations must be >= 2 for a Monte Carlo SE"):
+        with pytest.raises(ValueError, match="^iterations must be an integer >= 2, got 1$"):
             SimConfig(iterations=1)
 
     @pytest.mark.parametrize("field, value, message", [
         ("iterations", 2.5, "iterations must be an integer >= 2, got 2.5"),
         ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
-        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
     ], ids=["float-iterations", "float-seed", "negative-seed"])
     def test_config_refuses_a_count_or_seed_it_cannot_run(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -416,3 +412,29 @@ def test_extreme_magnitudes_give_finite_effects_or_value_error(m, sd, n, iterati
     for standardizer in ("pair-mean", "pooled"):
         _finite_or_refused(lambda: crude_effect(summary, standardizer=standardizer))
     _finite_or_refused(lambda: sim_effect(summary, SimConfig(iterations=iterations, seed=seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.floats(-50.0, 50.0),
+    step=st.floats(0.5, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    bend=st.floats(-1.0, 1.0),
+    sd=st.tuples(*[st.floats(0.5, 20.0)] * 3),
+    n=st.tuples(*[st.integers(5, 400)] * 3),
+    a=st.floats(-100.0, 100.0),
+    c=st.builds(lambda mantissa, k: mantissa * 2.0**k, st.sampled_from([1.0, 1.37]), st.integers(-6, 6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_d_is_unchanged_by_a_change_of_location_and_scale(base, step, sign, bend, sd, n, a, c, seed):
+    # the slope is at least half the largest SD, so d stays far enough from 0 for a relative tolerance
+    width = max(sd)
+    slope = sign * step * width
+    m = (base, base + slope + bend * width, base + 2.0 * slope)
+    study = StudySummary("s", m, sd, n)
+    moved = StudySummary("s", [a + c * x for x in m], [c * s for s in sd], n)
+    config = SimConfig(iterations=500, seed=seed)
+    for estimate in (lambda s: crude_effect(s, standardizer="pair-mean"),
+                     lambda s: crude_effect(s, standardizer="pooled"),
+                     lambda s: sim_effect(s, config)):
+        assert math.isclose(estimate(moved).d, estimate(study).d, rel_tol=1e-10)
