@@ -591,8 +591,10 @@ ROWS = st.lists(st.tuples(CELL, CELL), min_size=3, max_size=3)
 
 
 def assert_negated(fit: CombinedOR, mirrored: CombinedOR) -> None:
-    # a slope that is zero up to rounding has no relative precision; the step count may differ
-    assert math.isclose(mirrored.beta, -fit.beta, rel_tol=1e-10, abs_tol=1e-13)
+    # a slope that is zero up to rounding has no relative precision, and its rounding grows
+    # with the slope's standard error (1.2e-13 at se 20 for the rows 1/1, 1/4914, 1/1), so
+    # the absolute part is a share of that error; the step count may differ
+    assert math.isclose(mirrored.beta, -fit.beta, rel_tol=1e-10, abs_tol=1e-12 * fit.se_beta)
     assert math.isclose(mirrored.se_beta, fit.se_beta, rel_tol=1e-10)
 
 
@@ -605,6 +607,7 @@ class TestRelations:
 
     @settings(max_examples=300, deadline=None)
     @given(rows=ROWS)
+    @example(rows=[(1, 1), (1, 4914), (1, 1)])  # a symmetric table: a slope of 0 up to rounding
     def test_reversing_the_genotype_order_negates_the_slope(self, rows):
         assert_negated(combined_or(merged_table(*rows)), combined_or(merged_table(*reversed(rows))))
 
