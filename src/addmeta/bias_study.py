@@ -91,6 +91,10 @@ DENSITIES: dict[str, MixtureDensity] = {
     "f4": MixtureDensity(((2.0 / 3.0, 0.0, 1.0), (1.0 / 3.0, 0.0, 0.1))),  # kurtotic
 }
 
+# Each grid field's values, in full_grid's order: densities outermost, n-triplets innermost.
+_GRID = {"density": tuple(DENSITIES), "n_studies": STUDY_COUNTS, "sigma_ws": SIGMA_WS_VALUES,
+         "mean_vec": MEAN_VECTORS, "n_triplet": N_TRIPLETS}
+
 
 def sample_standardized(density: MixtureDensity, n: int, target_mean: float | np.ndarray,
                         target_sd: float | np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -147,19 +151,12 @@ class Scenario:
             require_integer(name, getattr(self, name), low)
         for i, k in enumerate(self.n_triplet):
             require_integer(f"n_triplet[{i}]", k)
-        if self.density not in DENSITIES:
-            raise ValueError(f"density must be one of {sorted(DENSITIES)}, got {self.density!r}")
-        if self.n_studies not in STUDY_COUNTS:
-            raise ValueError(f"n_studies must be in {STUDY_COUNTS}, got {self.n_studies}")
         object.__setattr__(self, "mean_vec", tuple(float(x) for x in self.mean_vec))
-        if self.mean_vec not in MEAN_VECTORS:
-            raise ValueError(f"mean_vec must be one of {MEAN_VECTORS}, got {self.mean_vec}")
-        if float(self.sigma_ws) not in SIGMA_WS_VALUES:
-            raise ValueError(f"sigma_ws must be in {SIGMA_WS_VALUES}, got {self.sigma_ws}")
         object.__setattr__(self, "sigma_ws", float(self.sigma_ws))
         object.__setattr__(self, "n_triplet", tuple(int(x) for x in self.n_triplet))
-        if self.n_triplet not in N_TRIPLETS:
-            raise ValueError(f"n_triplet must be one of {N_TRIPLETS}, got {self.n_triplet}")
+        for name, grid in _GRID.items():
+            if getattr(self, name) not in grid:
+                raise ValueError(f"{name} must be one of {grid}, got {getattr(self, name)!r}")
 
 
 def full_grid(**fields) -> list[Scenario]:
@@ -167,19 +164,7 @@ def full_grid(**fields) -> list[Scenario]:
 
     ``fields`` (``mc_reps``, ``seed``, ...) apply to every cell; Scenario supplies the rest.
     """
-    return [
-        Scenario(
-            density=density,
-            n_studies=n_studies,
-            mean_vec=mean_vec,
-            sigma_ws=sigma_ws,
-            n_triplet=n_triplet,
-            **fields,
-        )
-        for density, n_studies, sigma_ws, mean_vec, n_triplet in itertools.product(
-            DENSITIES, STUDY_COUNTS, SIGMA_WS_VALUES, MEAN_VECTORS, N_TRIPLETS
-        )
-    ]
+    return [Scenario(**dict(zip(_GRID, cell)), **fields) for cell in itertools.product(*_GRID.values())]
 
 
 @dataclass(frozen=True)

@@ -86,15 +86,25 @@ def _parse_rows(rows: Iterable, parse: Callable, origin, first_row: int, what: s
     return records
 
 
+def _read(path, read: Callable):
+    """Apply ``read`` to the open file; text that is not UTF-8, or not JSON, is refused with the path."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as handle:
+            return read(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_csv(path, fields: Sequence[str], parse: Callable, what: str, key=None) -> list:
     """Parse each data row of a CSV with a header that holds ``fields``."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    def rows(handle):
         reader = csv.DictReader(handle)
         missing = [f for f in fields if f not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing} (header row is required)")
         return _parse_rows(reader, parse, path, 2, what, key)
+
+    return _read(path, rows)
 
 
 def write_atomic(path, write: Callable[[TextIO], object]) -> None:
@@ -120,8 +130,10 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def _study_summary(row) -> StudySummary:
+    study_id = str(row["study_id"])
+    study_id.encode("utf-8")  # refuses a lone surrogate from JSON, which no stream key or CSV can hold
     return StudySummary(
-        study_id=str(row["study_id"]),
+        study_id=study_id,
         m=tuple(_float(row, f"m{k}") for k in "123"),
         sd=tuple(_float(row, f"sd{k}") for k in "123"),
         n=tuple(_int(row, f"n{k}") for k in "123"),
@@ -140,7 +152,7 @@ def read_study_summaries(path) -> list[StudySummary]:
     path = Path(path)
     if path.suffix.lower() != ".json":
         return _read_csv(path, STUDY_FIELDS, _study_summary, "studies", key=_study_id)
-    records = json.loads(path.read_text(encoding="utf-8"))
+    records = _read(path, json.load)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON list of study objects")
     return _parse_rows(records, _study_summary, path, 1, "studies", key=_study_id)
@@ -229,7 +241,7 @@ def read_scenario(path, **overrides) -> Scenario:
     ``inner_iterations``, ``seed``) replace the file's values.
     """
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _read(path, json.load)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object of scenario settings")
     known = {"density", "L", "mean_vec", "sigma_ws", "n_triplet", "mc_reps", "inner_iterations", "seed"}

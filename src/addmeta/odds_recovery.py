@@ -18,7 +18,8 @@ import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-Z_95 = 1.96
+from .pooling import Z_95
+
 MAX_NEWTON_ITERATIONS = 50
 MIN_STEP_SCALE = 2.0**-30  # the smallest fraction of a Newton step tried
 MAX_LOGIT_STEP = 30.0  # the most one step may move a group's fitted logit
@@ -84,13 +85,8 @@ class MergedTable:
     bb: tuple[int, int]
     ab: tuple[int, int]
     aa: tuple[int, int]
-    ab_branch: Branch
-    bb_branch: Branch
+    pairing: str  # root branches of the AB_vs_AA and BB_vs_AB candidates, as "plus+minus"
     ab_distance: float
-
-    @property
-    def pairing(self) -> str:
-        return f"{self.ab_branch}+{self.bb_branch}"
 
 
 @dataclass(frozen=True)
@@ -185,10 +181,6 @@ def recover_tables(record: ORRecord) -> list[CandidateTable]:
     return candidates
 
 
-def _row_distance(row_a: Sequence[int], row_b: Sequence[int]) -> float:
-    return math.hypot(row_a[0] - row_b[0], row_a[1] - row_b[1])
-
-
 def select_pairing(
     ab_aa_candidates: Sequence[CandidateTable],
     bb_ab_candidates: Sequence[CandidateTable],
@@ -207,13 +199,10 @@ def select_pairing(
     ``ab_margin_top`` / ``ab_margin_bottom`` are the AB totals as reported in
     the AB_vs_AA and BB_vs_AB records respectively (normally equal).
     """
-    best = None
-    for ab_cand in ab_aa_candidates:
-        for bb_cand in bb_ab_candidates:
-            dist = _row_distance(ab_cand.top_row, bb_cand.bottom_row)
-            if best is None or dist < best[0]:
-                best = (dist, ab_cand, bb_cand)
-    dist, ab_cand, bb_cand = best
+    # min keeps the first of equal distances, so ties go by enumeration order
+    ab_cand, bb_cand = min(itertools.product(ab_aa_candidates, bb_ab_candidates),
+                           key=lambda pair: math.dist(pair[0].top_row, pair[1].bottom_row))
+    dist = math.dist(ab_cand.top_row, bb_cand.bottom_row)
     margin = _round_half_away((ab_margin_top + ab_margin_bottom) / 2.0)
     present = _round_half_away((ab_cand.top_row[0] + bb_cand.bottom_row[0]) / 2.0)
     present = min(max(present, 0), margin)
@@ -221,8 +210,7 @@ def select_pairing(
         bb=bb_cand.top_row,
         ab=(present, margin - present),
         aa=ab_cand.bottom_row,
-        ab_branch=ab_cand.root_branch,
-        bb_branch=bb_cand.root_branch,
+        pairing=f"{ab_cand.root_branch}+{bb_cand.root_branch}",
         ab_distance=dist,
     )
 

@@ -25,7 +25,6 @@ class MetaResult:
     ci_lo: float
     ci_hi: float
     k: int
-    weights: tuple[float, ...]  # normalized to sum to 1
     q: float  # Cochran's Q about the fixed-effect mean
     i2: float  # share of Q beyond its k - 1 degrees of freedom
 
@@ -48,8 +47,7 @@ def pool_random_effects(effects: Sequence[tuple[float, float]]) -> MetaResult:
     if k == 1 and w[0] < math.inf:  # an infinite weight is refused below, as for k > 1
         g, v = gs[0], vs[0]
         half = Z_95 * math.sqrt(v)
-        return MetaResult(g_wm=g, v_wm=v, tau2=0.0, ci_lo=g - half, ci_hi=g + half, k=1,
-                          weights=(1.0,), q=0.0, i2=0.0)
+        return MetaResult(g_wm=g, v_wm=v, tau2=0.0, ci_lo=g - half, ci_hi=g + half, k=1, q=0.0, i2=0.0)
 
     # fsum raises on an overflowing sum or inf - inf, ** on an overflowing square, / on a zero sum.
     # tau2 is 0 unless Q exceeds its k - 1 degrees of freedom; only then is its denominator c used,
@@ -79,7 +77,6 @@ def pool_random_effects(effects: Sequence[tuple[float, float]]) -> MetaResult:
         ci_lo=g_wm - half,
         ci_hi=g_wm + half,
         k=k,
-        weights=tuple(wi / sum_ws for wi in w_star),
         q=q,
         i2=max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0,
     )

@@ -228,12 +228,9 @@ def test_criterion_5f_irls_vs_grid_oracle():
     from addmeta.odds_recovery import MergedTable
 
     fixtures = [
-        MergedTable(bb=(18, 12), ab=(18, 12), aa=(10, 20), ab_branch="plus",
-                    bb_branch="minus", ab_distance=0.0),
-        MergedTable(bb=(9, 1), ab=(5, 5), aa=(1, 9), ab_branch="plus",
-                    bb_branch="plus", ab_distance=0.0),
-        MergedTable(bb=(22, 8), ab=(14, 16), aa=(11, 19), ab_branch="plus",
-                    bb_branch="plus", ab_distance=0.0),
+        MergedTable(bb=(18, 12), ab=(18, 12), aa=(10, 20), pairing="plus+minus", ab_distance=0.0),
+        MergedTable(bb=(9, 1), ab=(5, 5), aa=(1, 9), pairing="plus+plus", ab_distance=0.0),
+        MergedTable(bb=(22, 8), ab=(14, 16), aa=(11, 19), pairing="plus+plus", ab_distance=0.0),
     ]
     worst = max(abs(combined_or(m).beta - grid_search_logit_slope(m)) for m in fixtures)
     report("criterion 5f (IRLS vs grid-search likelihood oracle)",

@@ -203,14 +203,16 @@ class TestScenarioValidation:
         good = dict(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
                     n_triplet=(10, 15, 5))
         Scenario(**good)
-        for field, bad in [
-            ("density", "f9"),
-            ("n_studies", 7),
-            ("mean_vec", (4, 5, 7)),
-            ("sigma_ws", 2.0),
-            ("n_triplet", (11, 15, 5)),
+        for field, bad, message in [
+            ("density", "f9", r"^density must be one of \('f1', 'f2', 'f3', 'f4'\), got 'f9'$"),
+            ("n_studies", 7, r"^n_studies must be one of \(5, 10, 15\), got 7$"),
+            ("mean_vec", (4, 5, 7), r"^mean_vec must be one of \(\(4\.0, 5\.5, 7\.0\), \(4\.0, 5\.5, 9\.0\), "
+                                    r"\(4\.0, 5\.5, 11\.0\)\), got \(4\.0, 5\.0, 7\.0\)$"),
+            ("sigma_ws", 2, r"^sigma_ws must be one of \(1\.0, 5\.0\), got 2\.0$"),
+            ("n_triplet", (11, 15, 5), r"^n_triplet must be one of \(\(10, 15, 5\), .*, \(300, 400, 240\)\), "
+                                       r"got \(11, 15, 5\)$"),
         ]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 Scenario(**{**good, field: bad})
 
     def test_positive_counts_required(self):

@@ -614,3 +614,28 @@ class TestExtremeInputs:
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         assert message in err and "nan" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+STUDY_ROW = "A,4,5.5,7,1,1,1,10,15,5\n"
+STUDY_JSON = ('[{"study_id": %s, "m1": 4, "m2": 5.5, "m3": 7, "sd1": 1, "sd2": 1, "sd3": 1, '
+              '"n1": 10, "n2": 15, "n3": 5}]')
+
+
+@pytest.mark.parametrize("command, name, data, where", [
+    ("effect", "in.csv", (STUDY_HEADER + STUDY_ROW).encode() + b"\xff" + STUDY_ROW.encode(), ""),
+    ("effect", "in.json", (STUDY_JSON % '"\xff"').encode("latin-1"), ""),
+    ("meta", "e.csv", b"study_id,g,v_g\nA,0.5,0.1\n\xff,0.3,0.2\n", ""),
+    ("or", "ors.csv", b"study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n\xff", ""),
+    ("mc", "cell.json", b'{"density": "f1\xff"}', ""),
+    ("effect", "in.json", b'[{"study_id": ', ""),
+    ("mc", "cell.json", b'{"density": ', ""),
+    ("effect", "in.json", (STUDY_JSON % r'"\ud800"').encode(), ", row 1"),
+], ids=["study-csv-not-utf8", "study-json-not-utf8", "effects-csv-not-utf8", "or-csv-not-utf8",
+        "scenario-not-utf8", "study-json-truncated", "scenario-truncated", "study-id-lone-surrogate"])
+def test_unreadable_input_exits_1_naming_the_file(command, name, data, where, tmp_path, capsys):
+    src = tmp_path / name
+    src.write_bytes(data)
+    assert main([command, str(src), "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}{where}: ") and len(err.splitlines()) == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

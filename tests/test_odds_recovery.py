@@ -163,7 +163,7 @@ def profile_slope_mle(groups, lo: float, hi: float) -> float:
 
 
 def merged_table(aa, ab, bb) -> MergedTable:
-    return MergedTable(bb=bb, ab=ab, aa=aa, ab_branch="plus", bb_branch="plus", ab_distance=0.0)
+    return MergedTable(bb=bb, ab=ab, aa=aa, pairing="plus+plus", ab_distance=0.0)
 
 
 class TestSeFromCi:
@@ -336,7 +336,7 @@ class TestSelectPairing:
         ]
         assert distances == pytest.approx([8.48, 0.0, 11.31, 2.83], abs=0.01)
         merged = select_pairing(ab, bb, 30, 30)
-        assert (merged.ab_branch, merged.bb_branch) == ("plus", "minus")
+        assert merged.pairing == "plus+minus"
         assert merged.bb == (18, 12)
         assert merged.ab == (18, 12)
         assert merged.aa == (10, 20)
@@ -357,7 +357,7 @@ class TestSelectPairing:
         ab = [cand("plus", (10, 10), (5, 15)), cand("minus", (10, 10), (15, 5))]
         bb = [cand("plus", (8, 12), (10, 10)), cand("minus", (12, 8), (10, 10))]
         merged = select_pairing(ab, bb, 20, 20)
-        assert (merged.ab_branch, merged.bb_branch) == ("plus", "plus")
+        assert merged.pairing == "plus+plus"
         assert merged.aa == (5, 15)
         assert merged.bb == (8, 12)
 
@@ -374,7 +374,7 @@ class TestSelectPairing:
 
 
 TABLE7 = MergedTable(bb=(18, 12), ab=(18, 12), aa=(10, 20),
-                     ab_branch="plus", bb_branch="minus", ab_distance=0.0)
+                     pairing="plus+minus", ab_distance=0.0)
 
 
 class TestCombinedOR:
@@ -388,21 +388,21 @@ class TestCombinedOR:
 
     def test_identical_rows_give_unit_or(self):
         merged = MergedTable(bb=(12, 18), ab=(12, 18), aa=(12, 18),
-                             ab_branch="plus", bb_branch="plus", ab_distance=0.0)
+                             pairing="plus+plus", ab_distance=0.0)
         result = combined_or(merged)
         assert abs(result.beta) < 1e-8
         assert result.or_value == pytest.approx(1.0, abs=1e-8)
 
     def test_against_grid_search_oracle(self):
         steep = MergedTable(bb=(9, 1), ab=(5, 5), aa=(1, 9),
-                            ab_branch="plus", bb_branch="plus", ab_distance=0.0)
+                            pairing="plus+plus", ab_distance=0.0)
         for merged in (TABLE7, steep):
             fitted = combined_or(merged)
             assert fitted.beta == pytest.approx(grid_search_logit_slope(merged), abs=1e-3)
 
     def test_separation_detected(self):
         merged = MergedTable(bb=(30, 0), ab=(15, 15), aa=(0, 30),
-                             ab_branch="plus", bb_branch="plus", ab_distance=0.0)
+                             pairing="plus+plus", ab_distance=0.0)
         with pytest.raises(ValueError, match="genotype code separates the present from the absent"):
             combined_or(merged)
 
@@ -435,7 +435,7 @@ class TestCombinedOR:
 
     def test_constant_phenotype_rejected(self):
         merged = MergedTable(bb=(10, 0), ab=(10, 0), aa=(10, 0),
-                             ab_branch="plus", bb_branch="plus", ab_distance=0.0)
+                             pairing="plus+plus", ab_distance=0.0)
         with pytest.raises(ValueError, match="constant"):
             combined_or(merged)
 

@@ -102,7 +102,6 @@ def test_pooled_estimate_within_range(effects):
     assert result.tau2 >= 0.0
     assert result.v_wm > 0.0
     assert result.ci_lo < result.ci_hi
-    assert math.fsum(result.weights) == pytest.approx(1.0, rel=1e-12)
     assert result.q >= 0.0
     assert 0.0 <= result.i2 < 1.0
 
@@ -126,7 +125,7 @@ def test_extreme_inputs_pool_to_finite_fields_or_value_error(effects):
     except ValueError:
         return
     fields = (result.g_wm, result.v_wm, result.tau2, result.ci_lo, result.ci_hi, result.q, result.i2)
-    assert all(math.isfinite(x) for x in fields + result.weights)
+    assert all(math.isfinite(x) for x in fields)
 
 
 def test_single_study_with_an_overflowing_weight_is_refused():
