@@ -1,22 +1,31 @@
-"""Meta-analysis of genetic association studies under the additive model."""
+"""Meta-analysis of genetic association studies under the additive model.
 
-from .bias_study import Scenario, run_scenario
-from .effects import StudySummary, crude_beta, crude_effect
-from .odds_recovery import ORRecord, combine_reported_ors
-from .pooling import pool_random_effects
-from .simulate import SimConfig, sim_effect
+The public names load their modules on first access, so importing the
+package, or only the parts of it that need no numpy, does not load numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ORRecord",
-    "Scenario",
-    "SimConfig",
-    "StudySummary",
-    "combine_reported_ors",
-    "crude_beta",
-    "crude_effect",
-    "pool_random_effects",
-    "run_scenario",
-    "sim_effect",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    "ORRecord": "odds_recovery",
+    "Scenario": "bias_study",
+    "SimConfig": "simulate",
+    "StudySummary": "effects",
+    "combine_reported_ors": "odds_recovery",
+    "crude_beta": "effects",
+    "crude_effect": "effects",
+    "pool_random_effects": "pooling",
+    "run_scenario": "bias_study",
+    "sim_effect": "simulate",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)

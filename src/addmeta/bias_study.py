@@ -34,10 +34,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ._defaults import DEFAULT_SEED
 from ._rng import MC_DATA, MC_INNER, MC_PARAMS, substream
 from .effects import crude_beta, pairwise_g
 from .pooling import pool_random_effects
-from .simulate import DEFAULT_SEED, additive_fit_rows, draw_fits, range_error, require_integer
+from .simulate import additive_fit_rows, draw_fits, range_error, require_integer
 
 # Scenario grid.
 STUDY_COUNTS = (5, 10, 15)

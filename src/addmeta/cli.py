@@ -1,8 +1,11 @@
 """Command-line surface: effect sizes, pooling, bias study, OR recovery.
 
 Every successful run writes a JSON manifest of its parsed options and of the
-addmeta, numpy and Python versions next to the output file, both whole or not
-at all.  The same command, inputs and numpy reproduce the output byte for byte.
+addmeta and Python versions next to the output file, both whole or not at
+all; ``effect`` and ``mc``, the commands that compute with numpy, record its
+version too.  The same command, inputs and numpy reproduce the output byte for
+byte.  Those two commands import the numpy-backed modules when they run, so
+starting the CLI, ``meta`` and ``or`` load no numpy.
 """
 
 from __future__ import annotations
@@ -14,15 +17,13 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, io
-from ._rng import EFFECT_STUDY, derive_seed
-from .bias_study import full_grid, run_scenario
-from .effects import crude_effect
+from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED
 from .odds_recovery import combine_reported_ors
 from .pooling import pool_random_effects
-from .simulate import DEFAULT_ITERATIONS, DEFAULT_SEED, SimConfig, sim_effect
+
+# the commands whose manifest records the numpy version
+_NUMPY_COMMANDS = ("effect", "mc")
 
 
 def _study_key(study_id: str) -> int:
@@ -48,18 +49,27 @@ _iteration_count = partial(_int_at_least, low=2, what="number of iterations >= 2
 
 def _write_manifest(args) -> None:
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
+    versions = {"addmeta": __version__, "python": sys.version.split()[0]}
+    if args.command in _NUMPY_COMMANDS:
+        import numpy
+
+        versions["numpy"] = numpy.__version__
     manifest = {
         "command": args.command,
         "options": options,
         "output": str(args.output),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "versions": {"addmeta": __version__, "numpy": np.__version__, "python": sys.version.split()[0]},
+        "versions": versions,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
     io.write_atomic(str(args.output) + ".manifest.json", lambda handle: handle.write(text))
 
 
 def _cmd_effect(args) -> None:
+    from ._rng import EFFECT_STUDY, derive_seed
+    from .effects import crude_effect
+    from .simulate import SimConfig, sim_effect
+
     summaries = io.read_study_summaries(args.input)
     if args.method == "crude":
         effects = [crude_effect(s, standardizer=args.standardizer) for s in summaries]
@@ -85,6 +95,8 @@ def _cmd_meta(args) -> None:
 
 
 def _cmd_mc(args) -> None:
+    from .bias_study import full_grid, run_scenario
+
     # the flags given replace the config's values (or the grid's defaults); Scenario checks them
     given = {"mc_reps": args.reps, "inner_iterations": args.inner_iterations, "seed": args.seed}
     overrides = {key: value for key, value in given.items() if value is not None}
@@ -168,7 +180,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-        _write_manifest(args)
+        try:
+            _write_manifest(args)
+        except BaseException:
+            # the output and its manifest appear both or neither
+            args.output.unlink(missing_ok=True)
+            raise
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         # a MemoryError raised by Python itself carries no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

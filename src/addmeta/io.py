@@ -1,11 +1,16 @@
 """CSV/JSON readers and writers for the batch pipeline.
 
-All files are UTF-8 with headers; floats are serialized at a configurable
+All files are UTF-8 with headers, and a byte-order mark that starts an input
+(as spreadsheet exports write) is skipped; floats are serialized at a configurable
 number of significant digits (default 6).  Every reader parses its rows
 through ``_parse_rows``, so malformed or non-finite input raises
 ``ValueError`` with the path and row number, and a file without data rows
 is refused.  Every file is written through ``write_atomic``, so it appears
 whole or not at all.
+
+The module loads no numpy: the record types of the numpy-backed modules are
+imported in the functions that build them, so ``meta`` and ``or`` run
+without numpy.
 """
 
 from __future__ import annotations
@@ -15,12 +20,15 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
-from .bias_study import BiasReport, Scenario
-from .effects import AdditiveEffect, StudySummary
-from .odds_recovery import CombinedOR, MergedTable, ORRecord
-from .pooling import MetaResult
+from .odds_recovery import ORRecord
+
+if TYPE_CHECKING:
+    from .bias_study import BiasReport, Scenario
+    from .effects import AdditiveEffect, StudySummary
+    from .odds_recovery import CombinedOR, MergedTable
+    from .pooling import MetaResult
 
 STUDY_FIELDS = ["study_id", "m1", "m2", "m3", "sd1", "sd2", "sd3", "n1", "n2", "n3"]
 EFFECT_FIELDS = ["study_id", "method", "beta", "sd_beta", "d", "g", "v_g", "seed", "iterations", "d_se"]
@@ -89,7 +97,7 @@ def _parse_rows(rows: Iterable, parse: Callable, origin, first_row: int, what: s
 def _read(path, read: Callable):
     """Apply ``read`` to the open file; text that is not UTF-8, or not JSON, is refused with the path."""
     try:
-        with Path(path).open(newline="", encoding="utf-8") as handle:
+        with Path(path).open(newline="", encoding="utf-8-sig") as handle:
             return read(handle)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -130,6 +138,8 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def _study_summary(row) -> StudySummary:
+    from .effects import StudySummary
+
     study_id = str(row["study_id"])
     study_id.encode("utf-8")  # refuses a lone surrogate from JSON, which no stream key or CSV can hold
     return StudySummary(
@@ -240,6 +250,8 @@ def read_scenario(path, **overrides) -> Scenario:
     The study count is keyed ``L``.  ``overrides`` (``mc_reps``,
     ``inner_iterations``, ``seed``) replace the file's values.
     """
+    from .bias_study import Scenario
+
     path = Path(path)
     data = _read(path, json.load)
     if not isinstance(data, dict):

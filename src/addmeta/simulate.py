@@ -31,11 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED
 from ._rng import SIM_DRAWS, substream
 from .effects import AdditiveEffect, StudySummary, effect_from_d
-
-DEFAULT_SEED = 20270405
-DEFAULT_ITERATIONS = 10_000
 
 _CODES = np.array([1.0, 2.0, 3.0])
 _CURVATURE = np.array([1.0, -2.0, 1.0])

@@ -1,9 +1,14 @@
 """End-to-end command-line behaviour."""
 
+import codecs
 import csv
+import importlib
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -76,6 +81,105 @@ def test_package_namespace_holds_one_entry_point_per_step():
         "crude_effect", "pool_random_effects", "run_scenario", "sim_effect",
     ]
     assert all(hasattr(addmeta, name) for name in addmeta.__all__)
+
+
+@pytest.mark.parametrize("name, module", [
+    ("ORRecord", "odds_recovery"), ("Scenario", "bias_study"), ("SimConfig", "simulate"),
+    ("StudySummary", "effects"), ("combine_reported_ors", "odds_recovery"), ("crude_beta", "effects"),
+    ("crude_effect", "effects"), ("pool_random_effects", "pooling"), ("run_scenario", "bias_study"),
+    ("sim_effect", "simulate"),
+])
+def test_package_name_is_the_submodule_object(name, module):
+    assert getattr(addmeta, name) is getattr(importlib.import_module(f"addmeta.{module}"), name)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        addmeta.no_such_name
+
+
+# runs the CLI in a fresh interpreter and prints, last on stderr, whether numpy got loaded
+FRESH_CLI = """
+import sys
+import addmeta.cli
+try:
+    status = addmeta.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("argv, pinned, loads_numpy", [
+    (["--help"], None, False),
+    (["meta", DATA / "table2_effect_sim.csv"], "table2_meta_sim.csv", False),
+    (["or", DATA / "or_records.csv"], "or_combined.csv", False),
+    (["effect", DATA / "table2_cohorts.csv"], "table2_effect_pooled.csv", True),
+], ids=["help", "meta", "or", "effect"])
+def test_fresh_cli_loads_numpy_only_for_the_commands_that_compute_with_it(argv, pinned, loads_numpy, tmp_path):
+    out = tmp_path / "out.csv"
+    if pinned is not None:
+        argv = [*argv, "--precision", "17", "-o", out]
+    src = str(Path(addmeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", FRESH_CLI, *map(str, argv)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == str(loads_numpy)
+    if pinned is not None:
+        assert out.read_bytes() == (DATA / pinned).read_bytes()
+
+
+# a small run of each command on the inputs pinned in tests/data
+QUICK_RUNS = {
+    "effect": ["effect", DATA / "table2_cohorts.csv"],
+    "meta": ["meta", DATA / "table2_effect_sim.csv"],
+    "mc": ["mc", DATA / "mc_f1_scenario.json", "--reps", "2", "--inner-iterations", "2"],
+    "or": ["or", DATA / "or_records.csv"],
+}
+
+
+@pytest.mark.parametrize("command", QUICK_RUNS)
+def test_manifest_records_numpy_only_for_the_commands_that_compute_with_it(command, tmp_path):
+    assert main([*map(str, QUICK_RUNS[command]), "-o", str(tmp_path / "out.csv")]) == 0
+    versions = json.loads((tmp_path / "out.csv.manifest.json").read_text())["versions"]
+    expected = {"addmeta": addmeta.__version__, "python": platform.python_version()}
+    if command in ("effect", "mc"):
+        expected["numpy"] = np.__version__
+    assert versions == expected
+
+
+def test_a_failed_manifest_write_leaves_no_output(tmp_path, capsys):
+    # a directory where the manifest goes fails its write after the output is in place
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    assert main(["effect", str(DATA / "table2_cohorts.csv"), "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv.manifest.json"]
+
+
+def _study_json() -> bytes:
+    """table2_cohorts.csv as the JSON list of study objects that effect also reads."""
+    rows = read_rows(DATA / "table2_cohorts.csv")
+    return json.dumps([{k: v if k == "study_id" else json.loads(v) for k, v in row.items()}
+                       for row in rows]).encode()
+
+
+# spreadsheet programs start a "CSV UTF-8" export with a byte-order mark
+@pytest.mark.parametrize("command, name, data, flags, pinned", [
+    ("effect", "in.csv", (DATA / "table2_cohorts.csv").read_bytes(), [], "table2_effect_pooled.csv"),
+    ("effect", "in.json", _study_json(), [], "table2_effect_pooled.csv"),
+    ("meta", "e.csv", (DATA / "table2_effect_sim.csv").read_bytes(), [], "table2_meta_sim.csv"),
+    ("or", "ors.csv", (DATA / "or_records.csv").read_bytes(), [], "or_combined.csv"),
+    ("mc", "cell.json", (DATA / "mc_f1_scenario.json").read_bytes(), ["--workers", "1"], "mc_f1_workers1.csv"),
+], ids=["study-csv", "study-json", "effects-csv", "or-csv", "scenario-json"])
+def test_a_leading_byte_order_mark_gives_the_pinned_bytes(command, name, data, flags, pinned, tmp_path):
+    src = tmp_path / name
+    src.write_bytes(codecs.BOM_UTF8 + data)
+    out = tmp_path / "out.csv"
+    assert main([command, str(src), *flags, "--precision", "17", "-o", str(out)]) == 0
+    assert out.read_bytes() == (DATA / pinned).read_bytes()
 
 
 class TestEffectCommand:
@@ -197,13 +301,6 @@ class TestEffectCommand:
         assert manifest["command"] == "effect"
         assert manifest["options"]["method"] == "crude"
         assert manifest["options"]["standardizer"] == "pooled"
-
-    def test_manifest_records_the_versions(self, table2_csv, tmp_path):
-        out = tmp_path / "c.csv"
-        assert main(["effect", str(table2_csv), "-o", str(out)]) == 0
-        versions = json.loads((tmp_path / "c.csv.manifest.json").read_text())["versions"]
-        assert versions == {"addmeta": addmeta.__version__, "numpy": np.__version__,
-                            "python": platform.python_version()}
 
     def test_precision_flag(self, table2_csv, tmp_path):
         out = tmp_path / "p.csv"
@@ -342,7 +439,7 @@ class TestMcCommand:
         def run_scenario(*args, **kwargs):
             raise AssertionError("a scenario ran")
 
-        monkeypatch.setattr("addmeta.cli.run_scenario", run_scenario)
+        monkeypatch.setattr("addmeta.bias_study.run_scenario", run_scenario)
         config = tmp_path / "s.json"
         config.write_text(json.dumps({"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 1.0,
                                       "n_triplet": [10, 15, 5], "mc_reps": 2}))
@@ -359,7 +456,7 @@ class TestMcCommand:
         def run_scenario(*args, **kwargs):
             raise AssertionError("the grid ran")
 
-        monkeypatch.setattr("addmeta.cli.run_scenario", run_scenario)
+        monkeypatch.setattr("addmeta.bias_study.run_scenario", run_scenario)
         assert main(["mc", "--full-grid", flag, "0", "-o", str(tmp_path / "grid.csv")]) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
