@@ -1,4 +1,14 @@
-"""Defaults that the estimators and the CLI parser share; this module imports no numpy."""
+"""Defaults and the count rule that the estimators and the CLI parser share; this module imports no numpy."""
+
+import numbers
 
 DEFAULT_SEED = 20270405
 DEFAULT_ITERATIONS = 10_000
+
+
+def require_integer(name: str, value, low: int | None = None) -> None:
+    """Refuse a count or seed ``value`` unless it is an integer (numpy's too), not a bool, >= ``low``."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or (low is not None and value < low):
+        rule = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{rule}, got {value!r}")

@@ -26,6 +26,7 @@ spread.  Everything is deterministic given (scenario, seed) at any worker count.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import threading
@@ -34,11 +35,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._defaults import DEFAULT_SEED
+from ._defaults import DEFAULT_SEED, require_integer
 from ._rng import MC_DATA, MC_INNER, MC_PARAMS, substream
 from .effects import crude_beta, pairwise_g
 from .pooling import pool_random_effects
-from .simulate import additive_fit_rows, draw_fits, range_error, require_integer
+from .simulate import additive_fit_rows, draw_fits, range_error
 
 # Scenario grid.
 STUDY_COUNTS = (5, 10, 15)
@@ -217,50 +218,43 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> BiasReport:
     """Run all replicates of a scenario and aggregate the bias metrics.
 
     ``workers``, an integer >= 1, is the number of threads that share the
-    replicates in interleaved shards: the calling thread computes replicates
-    0, W, 2W, ... and a helper thread per further shard j computes j, j + W,
-    ..., where W is ``workers`` capped at the replicate count.  Each
-    replicate's biases, or the exception that stops its shard, go into its
-    own slot.  A failing run raises the exception of its lowest failing
-    replicate once every shard has ended; a ValueError's message names the
-    scenario cell and replicate first.  Any exit of the calling thread, an
-    interrupt included, stops the helpers within one replicate and joins
-    them.  The result, or the error raised, is the same at any worker count.
+    replicates: the calling thread and up to ``workers - 1`` helper threads
+    each take the next replicate not yet taken, and store its biases, or
+    whatever it raises, in its own slot.  The first failure stops every thread
+    after its current replicate, so the replicates taken are always the first
+    few and the lowest failing one is among them; its exception is raised once
+    every thread has ended, and a ValueError's message names the scenario cell
+    and replicate first.  Any exit of the calling thread, an interrupt
+    included, stops the helpers within one replicate and joins them.  The
+    result, or the error raised, is the same at any worker count.
     """
     require_integer("workers", workers, 1)
     reps = scenario.mc_reps
-    shards = min(workers, reps)
     rows = [None] * reps
-    stop = threading.Event()
+    todo = iter(range(reps))  # taking the next item of a range iterator is atomic under the GIL
 
-    def work(j: int) -> None:
-        for rep in range(j, reps, shards):
-            if stop.is_set():
-                break
+    def work() -> None:
+        for rep in todo:
             try:
                 rows[rep] = _replicate(scenario, rep)
-            except Exception as exc:
+            except BaseException as exc:
                 rows[rep] = exc
-                break
+                collections.deque(todo, maxlen=0)  # no thread takes another replicate
 
     helpers = []
     try:
-        for j in range(1, shards):
-            helper = threading.Thread(target=work, args=(j,), daemon=True)
+        for _ in range(1, min(workers, reps)):
+            helper = threading.Thread(target=work, daemon=True)
             helper.start()
             helpers.append(helper)
-        work(0)
-        for helper in helpers:
-            helper.join()
+        work()
     finally:
-        stop.set()  # after an early exit, no helper starts another replicate
+        collections.deque(todo, maxlen=0)  # after an early exit too
         for helper in helpers:
             helper.join()
 
     for rep, row in enumerate(rows):
-        if row is None:  # only a helper killed by a non-Exception leaves a slot before any failure
-            raise RuntimeError(f"bias-study worker {rep % shards} ended without its replicates")
-        if isinstance(row, Exception):
+        if isinstance(row, BaseException):
             if type(row) is ValueError:
                 raise ValueError(f"scenario density={scenario.density}, L={scenario.n_studies}, "
                                  f"mean_vec={scenario.mean_vec}, sigma_ws={scenario.sigma_ws}, "

@@ -71,17 +71,20 @@ def _cmd_effect(args) -> None:
     from .simulate import SimConfig, sim_effect
 
     summaries = io.read_study_summaries(args.input)
-    if args.method == "crude":
-        effects = [crude_effect(s, standardizer=args.standardizer) for s in summaries]
-    else:
-        # each study's stream is keyed by its id, so it does not depend on the other rows
-        effects = [
-            sim_effect(s, SimConfig(
-                iterations=args.iterations,
-                seed=derive_seed(args.seed, EFFECT_STUDY, _study_key(s.study_id)),
-            ))
-            for s in summaries
-        ]
+    try:
+        if args.method == "crude":
+            effects = [crude_effect(s, standardizer=args.standardizer) for s in summaries]
+        else:
+            # each study's stream is keyed by its id, so it does not depend on the other rows
+            effects = [
+                sim_effect(s, SimConfig(
+                    iterations=args.iterations,
+                    seed=derive_seed(args.seed, EFFECT_STUDY, _study_key(s.study_id)),
+                ))
+                for s in summaries
+            ]
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from exc
     io.write_effects(args.output, effects, args.seed, args.iterations, args.precision)
 
 
@@ -190,6 +193,9 @@ def main(argv=None) -> int:
         # a MemoryError raised by Python itself carries no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

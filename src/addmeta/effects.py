@@ -30,6 +30,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from ._defaults import require_integer
+
 Standardizer = Literal["pair-mean", "pooled"]
 
 # s * s is a normal float exactly when SD_MIN <= s < SD_MAX: 2**-511 squares to
@@ -61,14 +63,14 @@ class StudySummary:
         if not all(SD_MIN <= s < SD_MAX for s in self.sd):
             raise ValueError(f"{self.study_id}: all standard deviations must be > 0, between about "
                              f"1.5e-154 and 1.3e154 so that their squares are normal floats, got {self.sd}")
+        for i, k in enumerate(self.n, 1):
+            require_integer(f"{self.study_id}: n{i}", k, 2)
         n = tuple(int(x) for x in self.n)
         if any(k > sys.float_info.max for k in n):  # a JSON integer can be; float() below would raise
             raise ValueError(f"{self.study_id}: sample sizes must be below about 1.8e308")
-        if any(k != float(orig) for k, orig in zip(n, self.n)):
+        if any(k != float(k) for k in n):
             raise ValueError(f"{self.study_id}: sample sizes must be integers that a float holds exactly, "
                              f"got {self.n}")
-        if any(k < 2 for k in n):
-            raise ValueError(f"{self.study_id}: all sample sizes must be >= 2, got {n}")
         object.__setattr__(self, "n", n)
 
     @property

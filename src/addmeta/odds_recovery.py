@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
+from ._defaults import require_integer
 from .pooling import Z_95
 
 MAX_NEWTON_ITERATIONS = 50
@@ -54,8 +55,8 @@ class ORRecord:
             raise ValueError(f"need 0 < ci_lo < ci_hi, got ({self.ci_lo}, {self.ci_hi})")
         if not (self.ci_lo <= self.or_value <= self.ci_hi):
             raise ValueError(f"odds ratio {self.or_value} outside its CI ({self.ci_lo}, {self.ci_hi})")
-        if self.m_top < 1 or self.m_bottom < 1:
-            raise ValueError(f"margins must be >= 1, got ({self.m_top}, {self.m_bottom})")
+        require_integer("m_top", self.m_top, 1)
+        require_integer("m_bottom", self.m_bottom, 1)
 
 
 @dataclass(frozen=True)

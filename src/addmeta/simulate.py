@@ -31,20 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED
+from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED, require_integer
 from ._rng import SIM_DRAWS, substream
 from .effects import AdditiveEffect, StudySummary, effect_from_d
 
 _CODES = np.array([1.0, 2.0, 3.0])
 _CURVATURE = np.array([1.0, -2.0, 1.0])
-
-
-def require_integer(name: str, value, low: int | None = None) -> None:
-    """Refuse a count or seed ``value`` unless it is a Python or numpy integer, not a bool, >= ``low``."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integer or (low is not None and value < low):
-        rule = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be an integer{rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ class TestRunScenario:
         assert started == []
         parallel = run_scenario(SMALL, workers=workers)
         assert parallel == serial
-        # the calling thread computes one shard; no more shards than replicates
+        # the calling thread is one of the workers; no more workers than replicates
         # (one worker starts no thread)
         assert len(started) == min(workers, SMALL.mc_reps) - 1
         assert threading.active_count() == threads
@@ -336,56 +336,55 @@ class TestRunScenario:
         monkeypatch.setattr(bias_study, "_replicate", failing_at_1_and_2)
         threads = threading.active_count()
         messages = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 7):
             with pytest.raises(ValueError) as failure:
                 run_scenario(SMALL, workers=workers)
             messages.append(str(failure.value))
             assert threading.active_count() == threads
-        # two workers split the failures across shards: 0, 2, 4 and 1, 3, 5
-        assert messages == [SMALL_CELL + "replicate 1: replicate 1 injected"] * 3
+        # whichever thread takes replicate 1 or 2, the lowest failure is the one raised
+        assert messages == [SMALL_CELL + "replicate 1: replicate 1 injected"] * 4
 
-    def test_helper_exception_is_raised_with_its_type_and_message(self, monkeypatch):
-        caller = threading.current_thread()
-        draw_fits = bias_study.draw_fits
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_helper_exception_is_raised_with_its_type_and_message(self, workers, monkeypatch):
+        replicate = bias_study._replicate
 
-        def failing_in_helpers(*args):
-            if threading.current_thread() is not caller:
+        def failing_at_1(scenario, rep):
+            if rep == 1:
                 raise RuntimeError("injected")
-            return draw_fits(*args)
+            return replicate(scenario, rep)
 
-        monkeypatch.setattr(bias_study, "draw_fits", failing_in_helpers)
+        monkeypatch.setattr(bias_study, "_replicate", failing_at_1)
         threads = threading.active_count()
-        # shard 1 of 2 starts at replicate 1; only a ValueError gets the scenario cell in front
+        # only a ValueError gets the scenario cell in front
         with pytest.raises(RuntimeError) as failure:
-            run_scenario(SMALL, workers=2)
+            run_scenario(SMALL, workers=workers)
         assert type(failure.value) is RuntimeError and str(failure.value) == "injected"
         assert threading.active_count() == threads
 
     def test_helper_out_of_float_range_raises_the_serial_error(self, monkeypatch):
-        # study 2 of replicate 1, which shard 1 of 2 computes
+        # study 2 of replicate 1
         overflowing = _drawn_sds(SMALL, 1)[1]
-        raised_in = []
 
         def overflowing_study(m, sd, n, iterations, rng):
             if sd == overflowing:
-                raised_in.append(threading.current_thread())
                 np.float64(1e300) * np.float64(1e300)  # raises only under the replicate's np.errstate
             return draw_fits(m, sd, n, iterations, rng)
 
         errors = np.geterr()
         monkeypatch.setattr(bias_study, "draw_fits", overflowing_study)
-        with pytest.raises(ValueError) as serial:
-            run_scenario(SMALL)
-        with pytest.raises(ValueError) as parallel:
-            run_scenario(SMALL, workers=2)
-        assert raised_in[-1] is not threading.current_thread()
-        assert str(parallel.value) == str(serial.value)
-        assert str(serial.value).startswith(
+        messages = []
+        for workers in (1, 2, 3):
+            with pytest.raises(ValueError) as failure:
+                run_scenario(SMALL, workers=workers)
+            messages.append(str(failure.value))
+        assert messages[1:] == messages[:1] * 2
+        assert messages[0].startswith(
             SMALL_CELL + "replicate 1: study2: the simulated fits leave the floating-point range")
         assert np.geterr() == errors
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("outcome", ["interrupt", "success", "failure"])
-    def test_every_exit_stops_and_joins_the_helpers(self, outcome, monkeypatch):
+    def test_every_exit_stops_and_joins_the_helpers(self, outcome, workers, monkeypatch):
         caller = threading.current_thread()
         calls = {"caller": 0, "helper": 0}
 
@@ -406,30 +405,49 @@ class TestRunScenario:
         threads = threading.active_count()
         start = time.perf_counter()
         if outcome == "success":
-            assert run_scenario(scenario, workers=2).retries == 0
+            assert run_scenario(scenario, workers=workers).retries == 0
         else:
             with pytest.raises(KeyboardInterrupt if outcome == "interrupt" else ValueError):
-                run_scenario(scenario, workers=2)
+                run_scenario(scenario, workers=workers)
         assert time.perf_counter() - start < 2
         assert threading.active_count() == threads
         if outcome == "interrupt":
-            # the helper finishes the replicate it is in and starts no other
-            assert calls["helper"] <= 3
+            # each helper finishes the replicate it is in and starts no other
+            assert calls["helper"] <= 3 * (workers - 1)
 
-    # the helper's SystemExit reaches threading.excepthook, where pytest reports it
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_helper_that_ends_without_a_result_raises(self, monkeypatch):
-        caller = threading.current_thread()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replicate_system_exit_is_raised_unchanged(self, workers, monkeypatch):
         replicate = bias_study._replicate
 
-        def exiting_in_helpers(scenario, rep):
-            if threading.current_thread() is not caller:
-                raise SystemExit  # not an Exception: the shard does not catch it
+        def exiting_at_1(scenario, rep):
+            if rep == 1:
+                raise SystemExit(3)  # not an Exception, whichever thread takes replicate 1
             return replicate(scenario, rep)
 
-        monkeypatch.setattr(bias_study, "_replicate", exiting_in_helpers)
-        with pytest.raises(RuntimeError, match="^bias-study worker 1 ended without its replicates$"):
-            run_scenario(SMALL, workers=2)
+        monkeypatch.setattr(bias_study, "_replicate", exiting_at_1)
+        threads = threading.active_count()
+        with pytest.raises(SystemExit) as failure:
+            run_scenario(SMALL, workers=workers)
+        assert type(failure.value) is SystemExit and failure.value.code == 3
+        assert threading.active_count() == threads
+
+    def test_first_failure_stops_every_thread_after_its_current_replicate(self, monkeypatch):
+        ran = []
+
+        def slow(scenario, rep):
+            ran.append(rep)
+            time.sleep(0.01)
+            if rep == 2:
+                raise ValueError("injected")
+            return (0.0, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(bias_study, "_replicate", slow)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="replicate 2: injected$"):
+            run_scenario(dataclasses.replace(SMALL, mc_reps=200), workers=2)
+        # no thread takes another replicate once replicate 2 has failed
+        assert len(ran) < 10
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None, True])
     def test_refuses_a_worker_count_that_is_not_a_positive_integer(self, workers):

@@ -448,6 +448,15 @@ class TestMcCommand:
         assert "scenario config file or --full-grid, not both" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
+    def test_interrupt_exits_130_with_one_line_and_no_output(self, tmp_path, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("addmeta.bias_study.run_scenario", interrupted)
+        assert main(["mc", "--full-grid", "-o", str(tmp_path / "o.csv")]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, message", [
         ("--reps", "mc_reps must be an integer >= 2, got 0"),
         ("--inner-iterations", "inner_iterations must be an integer >= 2, got 0"),
@@ -463,15 +472,14 @@ class TestMcCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_failing_worker_exits_1_without_output(self, tmp_path, monkeypatch, capfd):
-        caller = threading.current_thread()
         replicate = bias_study._replicate
 
-        def failing_in_helpers(scenario, rep):
-            if threading.current_thread() is not caller:
+        def failing_at_1_and_3(scenario, rep):
+            if rep in (1, 3):
                 raise ValueError(f"replicate {rep} of scenario injected")
             return replicate(scenario, rep)
 
-        monkeypatch.setattr(bias_study, "_replicate", failing_in_helpers)
+        monkeypatch.setattr(bias_study, "_replicate", failing_at_1_and_3)
         config = tmp_path / "s.json"
         config.write_text(json.dumps({"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 1.0,
                                       "n_triplet": [10, 15, 5], "mc_reps": 4, "inner_iterations": 20}))
@@ -711,6 +719,13 @@ class TestExtremeInputs:
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         assert message in err and "nan" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    @pytest.mark.parametrize("method", ["crude", "sim"])
+    def test_effect_refusal_names_the_input_file(self, method, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text(STUDY_HEADER + "A,-1e300,0,1e300,1e-10,1e-10,1e-10,10,15,5\n")
+        assert main(["effect", str(src), "--method", method, "-o", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {src}: A: ")
 
 
 STUDY_ROW = "A,4,5.5,7,1,1,1,10,15,5\n"

@@ -1,6 +1,7 @@
 """Crude estimator and the shared d-to-g machinery."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -71,10 +72,18 @@ class TestStudySummary:
                 StudySummary("x", (1, 2, 3), (1, sd, 1), (5, 5, 5))
 
     def test_rejects_tiny_groups(self):
-        with pytest.raises(ValueError, match="sample sizes"):
+        with pytest.raises(ValueError, match=r"^x: n2 must be an integer >= 2, got 1$"):
             StudySummary("x", (1, 2, 3), (1, 1, 1), (5, 1, 5))
 
-    @pytest.mark.parametrize("n", [(10.5, 15, 5), (10**30, 15, 5), (2**53 + 1, 15, 5)])
+    @pytest.mark.parametrize("size", [True, 10.0, 10.5, "10"])
+    def test_rejects_sizes_that_are_not_integers(self, size):
+        with pytest.raises(ValueError, match=rf"^x: n3 must be an integer >= 2, got {re.escape(repr(size))}$"):
+            StudySummary("x", (1, 2, 3), (1, 1, 1), (10, 15, size))
+
+    def test_takes_numpy_integer_sizes(self):
+        assert StudySummary("x", (1, 2, 3), (1, 1, 1), tuple(np.int64(k) for k in (10, 15, 5))).n == (10, 15, 5)
+
+    @pytest.mark.parametrize("n", [(10**30, 15, 5), (2**53 + 1, 15, 5)])
     def test_rejects_sizes_that_are_not_integers_a_float_holds(self, n):
         with pytest.raises(ValueError, match=r"^x: sample sizes must be integers that a float holds exactly"):
             StudySummary("x", (1, 2, 3), (1, 1, 1), n)

@@ -190,6 +190,13 @@ class TestORRecord:
         with pytest.raises(ValueError):
             ORRecord("AB_vs_AA", 2.0, 1.0, 4.0, 0, 30)
 
+    @pytest.mark.parametrize("margin", [True, 120.0, 120.5, "120"])
+    @pytest.mark.parametrize("name", ["m_top", "m_bottom"])
+    def test_margin_that_is_not_an_integer_rejected(self, name, margin):
+        margins = {"m_top": 30, "m_bottom": 30, name: margin}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {re.escape(repr(margin))}$"):
+            ORRecord("AB_vs_AA", 2.0, 1.0, 4.0, **margins)
+
     @pytest.mark.parametrize("or_value", [0.0, -2.0])
     def test_nonpositive_or_rejected(self, or_value):
         with pytest.raises(ValueError, match="odds ratio must be > 0"):
