@@ -196,12 +196,12 @@ def _replicate(scenario: Scenario, rep: int):
                                   rng_data) for k, n_k in enumerate(n_triplet)]
     ds = np.empty((3, n_studies))  # rows: truth, crude, simulation
     ds[0] = additive_fit_rows(blocks)[2]
-    beta, sd_beta = crude_beta(means, sds, n_triplet)
-    ds[1] = beta / sd_beta
-    # each study's d is the mean of its per-draw d's, as in sim_effect; the studies draw in turn
+    # each study's simulated d is the mean of its per-draw d's, as in sim_effect; the studies draw in turn
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for i, (m, sd) in enumerate(zip(means.T.tolist(), sds.T.tolist())):
+                beta, sd_beta = crude_beta(m, sd, n_triplet)
+                ds[1, i] = beta / sd_beta
                 draws = draw_fits(m, sd, n_triplet, scenario.inner_iterations, rng_inner)[2]
                 ds[2, i] = float(draws.sum()) / draws.size
     except (FloatingPointError, ZeroDivisionError) as exc:

@@ -2,10 +2,11 @@
 
 Every successful run writes a JSON manifest of its parsed options and of the
 addmeta and Python versions next to the output file, both whole or not at
-all; ``effect`` and ``mc``, the commands that compute with numpy, record its
-version too.  The same command, inputs and numpy reproduce the output byte for
-byte.  Those two commands import the numpy-backed modules when they run, so
-starting the CLI, ``meta`` and ``or`` load no numpy.
+all; the runs that draw random numbers, ``mc`` and ``effect --method sim``,
+record the numpy version too.  The same command, inputs and numpy reproduce
+the output byte for byte.  Each command imports the modules it computes with
+when it runs, so only those two runs load numpy: starting the CLI, ``meta``,
+``or`` and a crude ``effect`` load none.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from pathlib import Path
 
 from . import __version__, io
 from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED
-from .odds_recovery import combine_reported_ors
-from .pooling import pool_random_effects
-
-# the commands whose manifest records the numpy version
-_NUMPY_COMMANDS = ("effect", "mc")
 
 
 def _study_key(study_id: str) -> int:
@@ -50,7 +46,7 @@ _iteration_count = partial(_int_at_least, low=2, what="number of iterations >= 2
 def _write_manifest(args) -> None:
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
     versions = {"addmeta": __version__, "python": sys.version.split()[0]}
-    if args.command in _NUMPY_COMMANDS:
+    if args.command == "mc" or vars(args).get("method") == "sim":  # the runs that draw
         import numpy
 
         versions["numpy"] = numpy.__version__
@@ -66,15 +62,16 @@ def _write_manifest(args) -> None:
 
 
 def _cmd_effect(args) -> None:
-    from ._rng import EFFECT_STUDY, derive_seed
     from .effects import crude_effect
-    from .simulate import SimConfig, sim_effect
 
     summaries = io.read_study_summaries(args.input)
     try:
         if args.method == "crude":
             effects = [crude_effect(s, standardizer=args.standardizer) for s in summaries]
         else:
+            from ._rng import EFFECT_STUDY, derive_seed
+            from .simulate import SimConfig, sim_effect
+
             # each study's stream is keyed by its id, so it does not depend on the other rows
             effects = [
                 sim_effect(s, SimConfig(
@@ -89,6 +86,8 @@ def _cmd_effect(args) -> None:
 
 
 def _cmd_meta(args) -> None:
+    from .pooling import pool_random_effects
+
     effects = io.read_effects(args.input)
     try:
         result = pool_random_effects([(g, v) for _, g, v in effects])
@@ -114,6 +113,8 @@ def _cmd_mc(args) -> None:
 
 
 def _cmd_or(args) -> None:
+    from .odds_recovery import combine_reported_ors
+
     rows = []
     for study, ab, bb in io.read_or_records(args.input):
         try:
@@ -180,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
         try:
             _write_manifest(args)

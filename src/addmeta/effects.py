@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import numpy as np
-
 from ._defaults import require_integer
 
 Standardizer = Literal["pair-mean", "pooled"]
@@ -66,8 +64,10 @@ class StudySummary:
         for i, k in enumerate(self.n, 1):
             require_integer(f"{self.study_id}: n{i}", k, 2)
         n = tuple(int(x) for x in self.n)
-        if any(k > sys.float_info.max for k in n):  # a JSON integer can be; float() below would raise
-            raise ValueError(f"{self.study_id}: sample sizes must be below about 1.8e308")
+        # float() of an int past the float range raises; every count that the estimators turn
+        # into a float, up to hedges_j's 4 * (n_a + n_b - 2) - 1, is below 4 * n_total
+        if 4 * sum(n) > sys.float_info.max:
+            raise ValueError(f"{self.study_id}: sample sizes must sum to below about 4.5e307")
         if any(k != float(k) for k in n):
             raise ValueError(f"{self.study_id}: sample sizes must be integers that a float holds exactly, "
                              f"got {self.n}")
@@ -101,31 +101,25 @@ class AdditiveEffect:
     d_se: float | None = None
 
 
-def crude_beta(m, sd, n: Sequence[int], standardizer: Standardizer = "pair-mean"):
-    """Crude additive slope and its standardizer, ``(beta, sd_beta)``, from summary statistics.
+def crude_beta(m, sd, n: Sequence[int], standardizer: Standardizer = "pair-mean") -> tuple[float, float]:
+    """One study's crude additive slope and its standardizer, ``(beta, sd_beta)``, from its three groups.
 
-    ``m`` and ``sd`` hold the three groups along their first axis: three
-    floats for one study, or (3, L) arrays for L studies of group sizes ``n``.
     The slope, ``(m3 - m1) / 2``, is the least-squares fit of the group means
     on the codes (1, 2, 3).  The standardizer is the mean of the two pairwise
     pooled SDs (``pair-mean``) or the three-group pooled SD (``pooled``).
+    A sum that overflows leaves an inf, which ``effect_from_d`` refuses.
     """
-    m, sd = np.asarray(m, dtype=float), np.asarray(sd, dtype=float)
-    # squared as Python floats: libm's pow(s, 2) and numpy's s * s differ for about 0.08% of doubles
-    var = np.array([s**2 for s in sd.ravel().tolist()]).reshape(sd.shape)
+    # s**2 is libm's pow(s, 2), which rounds differently from s * s for about 0.08% of doubles
+    v1, v2, v3 = (s**2 for s in sd)
     n1, n2, n3 = n
-    # an overflow leaves an inf, which effect_from_d refuses
-    with np.errstate(over="ignore"):
-        beta = (m[2] - m[0]) / 2.0
-        if standardizer == "pair-mean":
-            sd12 = np.sqrt(((n1 - 1) * var[0] + (n2 - 1) * var[1]) / (n1 + n2 - 2))
-            sd23 = np.sqrt(((n2 - 1) * var[1] + (n3 - 1) * var[2]) / (n2 + n3 - 2))
-            sd_beta = (sd12 + sd23) / 2.0
-        elif standardizer == "pooled":
-            sd_beta = np.sqrt(((n1 - 1) * var[0] + (n2 - 1) * var[1] + (n3 - 1) * var[2]) / (sum(n) - 3))
-        else:
-            raise ValueError(f"unknown standardizer {standardizer!r}")
-    return beta, sd_beta
+    beta = (m[2] - m[0]) / 2.0
+    if standardizer == "pair-mean":
+        sd12 = math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
+        sd23 = math.sqrt(((n2 - 1) * v2 + (n3 - 1) * v3) / (n2 + n3 - 2))
+        return beta, (sd12 + sd23) / 2.0
+    if standardizer == "pooled":
+        return beta, math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2 + (n3 - 1) * v3) / (n1 + n2 + n3 - 3))
+    raise ValueError(f"unknown standardizer {standardizer!r}")
 
 
 def cohens_d_variance(n_a: int, n_b: int, d: float) -> float:
@@ -181,5 +175,5 @@ def effect_from_d(
 
 def crude_effect(summary: StudySummary, standardizer: Standardizer = "pair-mean") -> AdditiveEffect:
     """Crude additive effect: slope, standardizer, and combined Hedges' g."""
-    beta, sd_beta = map(float, crude_beta(summary.m, summary.sd, summary.n, standardizer))
+    beta, sd_beta = crude_beta(summary.m, summary.sd, summary.n, standardizer)
     return effect_from_d(summary.study_id, beta, sd_beta, beta / sd_beta, summary.n, "crude")

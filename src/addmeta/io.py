@@ -8,9 +8,9 @@ through ``_parse_rows``, so malformed or non-finite input raises
 is refused.  Every file is written through ``write_atomic``, so it appears
 whole or not at all.
 
-The module loads no numpy: the record types of the numpy-backed modules are
-imported in the functions that build them, so ``meta`` and ``or`` run
-without numpy.
+The module loads no numpy: each record type is imported in the function that
+builds it, so only the runs that draw, ``mc`` and ``effect --method sim``,
+load numpy.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
-from .odds_recovery import ORRecord
-
 if TYPE_CHECKING:
     from .bias_study import BiasReport, Scenario
     from .effects import AdditiveEffect, StudySummary
-    from .odds_recovery import CombinedOR, MergedTable
+    from .odds_recovery import CombinedOR, MergedTable, ORRecord
     from .pooling import MetaResult
 
 STUDY_FIELDS = ["study_id", "m1", "m2", "m3", "sd1", "sd2", "sd3", "n1", "n2", "n3"]
@@ -204,6 +202,8 @@ def write_meta_result(path, result: MetaResult, precision: int = DEFAULT_PRECISI
 
 
 def _or_record(row) -> tuple[str, ORRecord]:
+    from .odds_recovery import ORRecord
+
     return str(row["study_id"]), ORRecord(
         label=row["label"],
         or_value=_float(row, "or"),

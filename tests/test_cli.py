@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import addmeta
-from addmeta import bias_study, simulate
+from addmeta import bias_study, cli, simulate
 from addmeta.bias_study import (
     DENSITIES,
     MEAN_VECTORS,
@@ -98,7 +98,8 @@ def test_unknown_package_attribute_raises_attribute_error():
         addmeta.no_such_name
 
 
-# runs the CLI in a fresh interpreter and prints, last on stderr, whether numpy got loaded
+# runs the CLI in a fresh interpreter and prints, last on stderr, the addmeta
+# modules it loaded and whether it loaded numpy
 FRESH_CLI = """
 import sys
 import addmeta.cli
@@ -106,18 +107,23 @@ try:
     status = addmeta.cli.main(sys.argv[1:])
 except SystemExit as exc:
     status = exc.code
-print("numpy" in sys.modules, file=sys.stderr)
+loaded = sorted(name[len("addmeta."):] for name in sys.modules if name.startswith("addmeta."))
+print(" ".join(loaded), "numpy" in sys.modules, file=sys.stderr)
 sys.exit(status)
 """
+STARTUP_MODULES = "_defaults cli io"
 
 
-@pytest.mark.parametrize("argv, pinned, loads_numpy", [
-    (["--help"], None, False),
-    (["meta", DATA / "table2_effect_sim.csv"], "table2_meta_sim.csv", False),
-    (["or", DATA / "or_records.csv"], "or_combined.csv", False),
-    (["effect", DATA / "table2_cohorts.csv"], "table2_effect_pooled.csv", True),
-], ids=["help", "meta", "or", "effect"])
-def test_fresh_cli_loads_numpy_only_for_the_commands_that_compute_with_it(argv, pinned, loads_numpy, tmp_path):
+@pytest.mark.parametrize("argv, pinned, modules, loads_numpy", [
+    (["--help"], None, "", False),
+    (["meta", DATA / "table2_effect_sim.csv"], "table2_meta_sim.csv", "pooling", False),
+    (["or", DATA / "or_records.csv"], "or_combined.csv", "odds_recovery pooling", False),
+    (["effect", DATA / "table2_cohorts.csv"], "table2_effect_pooled.csv", "effects", False),
+    (["effect", DATA / "table2_cohorts.csv", "--method", "sim", "--iterations", "500", "--seed", "7"],
+     "table2_effect_sim.csv", "_rng effects simulate", True),
+], ids=["help", "meta", "or", "effect", "effect-sim"])
+def test_fresh_cli_loads_numpy_only_for_the_commands_that_compute_with_it(argv, pinned, modules, loads_numpy,
+                                                                           tmp_path):
     out = tmp_path / "out.csv"
     if pinned is not None:
         argv = [*argv, "--precision", "17", "-o", out]
@@ -126,14 +132,17 @@ def test_fresh_cli_loads_numpy_only_for_the_commands_that_compute_with_it(argv, 
     run = subprocess.run([sys.executable, "-c", FRESH_CLI, *map(str, argv)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stderr.splitlines()[-1] == str(loads_numpy)
+    *loaded, numpy_loaded = run.stderr.splitlines()[-1].split()
+    assert loaded == sorted(f"{STARTUP_MODULES} {modules}".split())
+    assert numpy_loaded == str(loads_numpy)
     if pinned is not None:
         assert out.read_bytes() == (DATA / pinned).read_bytes()
 
 
-# a small run of each command on the inputs pinned in tests/data
+# a small run of each command, and of each effect method, on the inputs pinned in tests/data
 QUICK_RUNS = {
     "effect": ["effect", DATA / "table2_cohorts.csv"],
+    "effect-sim": ["effect", DATA / "table2_cohorts.csv", "--method", "sim", "--iterations", "2"],
     "meta": ["meta", DATA / "table2_effect_sim.csv"],
     "mc": ["mc", DATA / "mc_f1_scenario.json", "--reps", "2", "--inner-iterations", "2"],
     "or": ["or", DATA / "or_records.csv"],
@@ -145,7 +154,8 @@ def test_manifest_records_numpy_only_for_the_commands_that_compute_with_it(comma
     assert main([*map(str, QUICK_RUNS[command]), "-o", str(tmp_path / "out.csv")]) == 0
     versions = json.loads((tmp_path / "out.csv.manifest.json").read_text())["versions"]
     expected = {"addmeta": addmeta.__version__, "python": platform.python_version()}
-    if command in ("effect", "mc"):
+    # the runs that draw random numbers
+    if command in ("effect-sim", "mc"):
         expected["numpy"] = np.__version__
     assert versions == expected
 
@@ -457,6 +467,15 @@ class TestMcCommand:
         assert capsys.readouterr().err == "error: interrupted\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_interrupt_while_parsing_exits_130_with_one_line(self, monkeypatch, capsys):
+        class Parser:
+            def parse_args(self, argv):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "build_parser", Parser)
+        assert main(["mc", "--full-grid", "-o", "o.csv"]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
     @pytest.mark.parametrize("flag, message", [
         ("--reps", "mc_reps must be an integer >= 2, got 0"),
         ("--inner-iterations", "inner_iterations must be an integer >= 2, got 0"),
@@ -663,6 +682,7 @@ class TestOrCommand:
 
 STUDY_HEADER = "study_id,m1,m2,m3,sd1,sd2,sd3,n1,n2,n3\n"
 SD_RANGE = "in.csv, row 2: A: all standard deviations must be > 0, between about 1.5e-154 and 1.3e154"
+SIZE_SUM = "in.csv, row 2: A: sample sizes must sum to below about 4.5e307"
 
 
 class TestExtremeInputs:
@@ -698,7 +718,12 @@ class TestExtremeInputs:
         (["effect"], "in.json",
          '[{"study_id": "A", "m1": 4, "m2": 5.5, "m3": 7, "sd1": 1, "sd2": 1, "sd3": 1, '
          f'"n1": {10**400}, "n2": 15, "n3": 5}}]',
-         "in.json, row 1: A: sample sizes must be below about 1.8e308"),
+         "in.json, row 1: A: sample sizes must sum to below about 4.5e307"),
+        (["effect"], "in.csv", STUDY_HEADER + "A,4,5.5,7,1,1,1,1e308,1e308,5\n", SIZE_SUM),
+        (["effect", "--standardizer", "pair-mean"], "in.csv", STUDY_HEADER + "A,4,5.5,7,1,1,1,1e308,1e308,5\n",
+         SIZE_SUM),
+        (["effect"], "in.csv", STUDY_HEADER + "A,4,5.5,7,1,1,1,5e307,5e307,5\n", SIZE_SUM),
+        (["effect", "--method", "sim"], "in.csv", STUDY_HEADER + "A,4,5.5,7,1,1,1,5e307,5e307,5\n", SIZE_SUM),
         (["effect"], "in.json",
          '[{"study_id": "A", "m1": 4, "m2": 5.5, "m3": 7, "sd1": 1, "sd2": 1, "sd3": 1, '
          f'"n1": {10**30}, "n2": 15, "n3": 5}}]',
@@ -709,7 +734,9 @@ class TestExtremeInputs:
     ], ids=["crude-tiny-sd", "crude-huge-sd", "sim-tiny-sd", "sim-huge-sd", "crude-infinite-d",
             "crude-infinite-slope", "crude-infinite-variance", "sim-infinite-d", "meta-subnormal-v",
             "meta-single-subnormal-v", "meta-weight-sum-overflow", "meta-squared-weight-overflow",
-            "meta-q-overflow", "json-group-size-past-float", "json-group-size-not-a-float",
+            "meta-q-overflow", "json-group-size-past-float", "crude-pooled-size-sum-past-float",
+            "crude-pair-mean-size-sum-past-float", "crude-count-past-float", "sim-count-past-float",
+            "json-group-size-not-a-float",
             "or-past-float"])
     def test_exits_1_with_one_error_line_and_no_output(self, argv, name, text, message, tmp_path, capsys):
         src = tmp_path / name

@@ -88,6 +88,19 @@ class TestStudySummary:
         with pytest.raises(ValueError, match=r"^x: sample sizes must be integers that a float holds exactly"):
             StudySummary("x", (1, 2, 3), (1, 1, 1), n)
 
+    # k = max / 8 makes 4 * n_total = max + 8, past the float range
+    @pytest.mark.parametrize("k", [int(sys.float_info.max / 8), 10**400], ids=["one-past", "past-float"])
+    def test_rejects_sizes_whose_counts_leave_the_float_range(self, k):
+        with pytest.raises(ValueError, match=r"^x: sample sizes must sum to below about 4\.5e307$"):
+            StudySummary("x", (1, 2, 3), (1, 1, 1), (k, k, 2))
+
+    @pytest.mark.parametrize("standardizer", ["pair-mean", "pooled"])
+    def test_largest_sizes_keep_every_count_in_the_float_range(self, standardizer):
+        # every count the estimators turn into a float, up to hedges_j's 8k - 9, is finite
+        k = int(math.nextafter(sys.float_info.max / 8, 0.0))
+        eff = crude_effect(StudySummary("x", (1, 2, 3), (1, 1, 1), (k, k, 2)), standardizer)
+        assert all(math.isfinite(v) for v in (eff.beta, eff.sd_beta, eff.d, eff.g, eff.v_g)), eff
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             SATIETY.m = (0, 0, 0)
@@ -154,24 +167,18 @@ class TestCrudeBeta:
     def test_one_study_and_every_row_equal_the_reference_bit_for_bit(self, studies, n, standardizer):
         expected = [reference_crude(m, sd, n, standardizer) for m, sd in studies]
         assert [crude_beta(m, sd, n, standardizer) for m, sd in studies] == expected
-        beta, sd_beta = crude_beta(np.array([m for m, _ in studies]).T, np.array([sd for _, sd in studies]).T,
-                                   n, standardizer)
-        assert list(zip(beta.tolist(), sd_beta.tolist())) == expected
 
     @pytest.mark.parametrize("standardizer", ["pair-mean", "pooled"])
     def test_sds_are_squared_as_python_floats(self, standardizer):
-        # numpy's s * s and Python's s ** 2 round these SDs differently; squaring
+        # s * s and s ** 2 (libm's pow) round these SDs differently; squaring
         # them with s * s changes sd_beta in 5 of these 14 studies
         sds = [s for s in np.random.default_rng(3).uniform(0.5, 9.0, 20_000).tolist() if s * s != s**2]
         if not sds:
             pytest.skip("this libm's pow(s, 2) rounds as s * s does")
-        sd, n = np.array([sds, sds[1:] + sds[:1], sds[2:] + sds[:2]]), (10, 15, 5)
-        m = np.array([[4.0], [5.5], [7.0]]).repeat(len(sds), axis=1)
-        studies = list(zip(m.T.tolist(), sd.T.tolist()))
-        expected = [reference_crude(m_i, sd_i, n, standardizer) for m_i, sd_i in studies]
-        assert [crude_beta(m_i, sd_i, n, standardizer) for m_i, sd_i in studies] == expected
-        beta, sd_beta = crude_beta(m, sd, n, standardizer)
-        assert list(zip(beta.tolist(), sd_beta.tolist())) == expected
+        m, n = (4.0, 5.5, 7.0), (10, 15, 5)
+        studies = list(zip(sds, sds[1:] + sds[:1], sds[2:] + sds[:2]))
+        expected = [reference_crude(m, sd, n, standardizer) for sd in studies]
+        assert [crude_beta(m, sd, n, standardizer) for sd in studies] == expected
 
     def test_unknown_standardizer(self):
         with pytest.raises(ValueError, match="standardizer"):
