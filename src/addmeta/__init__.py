@@ -5,6 +5,7 @@ package, or only the parts of it that need no numpy, does not load numpy.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -29,3 +30,13 @@ def __getattr__(name: str):
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+
+
+def _console_main() -> int:
+    """The ``addmeta`` command: ``cli.main``, and Ctrl-C while it loads exits as Ctrl-C in a run does."""
+    try:
+        from .cli import main
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+    return main()

@@ -1,12 +1,13 @@
 """CSV/JSON readers and writers for the batch pipeline.
 
 All files are UTF-8 with headers, and a byte-order mark that starts an input
-(as spreadsheet exports write) is skipped; floats are serialized at a configurable
-number of significant digits (default 6).  Every reader parses its rows
+(as spreadsheet exports write) is skipped.  Every reader parses its rows
 through ``_parse_rows``, so malformed or non-finite input raises
 ``ValueError`` with the path and row number, and a file without data rows
-is refused.  Every file is written through ``write_atomic``, so it appears
-whole or not at all.
+is refused.  Every writer hands rows of plain values to ``_write_csv``, which
+writes each float at a configurable number of significant digits (default 6),
+every other value as it is, and the file through ``write_atomic``, so that it
+appears whole or not at all.
 
 The module loads no numpy: each record type is imported in the function that
 builds it, so only the runs that draw, ``mc`` and ``effect --method sim``,
@@ -41,10 +42,6 @@ BIAS_FIELDS = [
 ]
 
 DEFAULT_PRECISION = 6
-
-
-def fmt(value: float, precision: int = DEFAULT_PRECISION) -> str:
-    return format(float(value), f".{precision}g")
 
 
 def _float(row, field: str) -> float:
@@ -126,11 +123,13 @@ def write_atomic(path, write: Callable[[TextIO], object]) -> None:
         raise
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence], precision: int) -> None:
+    """The one place where a value becomes text: a float (numpy's too) at ``precision`` digits, None as ""."""
     def write(handle):
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([[format(v, f".{precision}g") if isinstance(v, float) else v for v in row]
+                          for row in rows])
 
     write_atomic(path, write)
 
@@ -175,12 +174,10 @@ def write_effects(
 ) -> None:
     """Write effect rows; ``seed``, ``iterations`` and ``d_se`` fill simulation rows only."""
     _write_csv(path, EFFECT_FIELDS, [
-        [eff.study_id, eff.method]
-        + [fmt(v, precision) for v in (eff.beta, eff.sd_beta, eff.d, eff.g, eff.v_g)]
-        + [v if eff.method == "simulation" and v is not None else "" for v in (seed, iterations)]
-        + ["" if eff.d_se is None else fmt(eff.d_se, precision)]
+        [eff.study_id, eff.method, eff.beta, eff.sd_beta, eff.d, eff.g, eff.v_g,
+         *([seed, iterations] if eff.method == "simulation" else [None, None]), eff.d_se]
         for eff in effects
-    ])
+    ], precision)
 
 
 def _effect(row) -> tuple[str, float, float]:
@@ -197,8 +194,7 @@ def read_effects(path) -> list[tuple[str, float, float]]:
 
 
 def write_meta_result(path, result: MetaResult, precision: int = DEFAULT_PRECISION) -> None:
-    values = (result.g_wm, result.v_wm, result.tau2, result.ci_lo, result.ci_hi, result.q, result.i2)
-    _write_csv(path, META_FIELDS, [[result.k] + [fmt(v, precision) for v in values]])
+    _write_csv(path, META_FIELDS, [[getattr(result, name) for name in META_FIELDS]], precision)
 
 
 def _or_record(row) -> tuple[str, ORRecord]:
@@ -237,11 +233,10 @@ def write_combined_ors(
     precision: int = DEFAULT_PRECISION,
 ) -> None:
     _write_csv(path, OR_OUTPUT_FIELDS, [
-        [study]
-        + [fmt(v, precision) for v in (combined.or_value, combined.ci_lo, combined.ci_hi)]
-        + [merged.pairing, fmt(merged.ab_distance, precision), combined.iterations_used]
+        [study, combined.or_value, combined.ci_lo, combined.ci_hi,
+         merged.pairing, merged.ab_distance, combined.iterations_used]
         for study, merged, combined in rows
-    ])
+    ], precision)
 
 
 def read_scenario(path, **overrides) -> Scenario:
@@ -285,18 +280,10 @@ def read_scenario(path, **overrides) -> Scenario:
 
 
 def write_bias_reports(path, reports: Iterable[BiasReport], precision: int = DEFAULT_PRECISION) -> None:
-    def row(rep: BiasReport) -> list:
-        s = rep.scenario
-        biases = (
-            rep.bias_g_crude, rep.bias_gwm_crude, rep.bias_g_sim, rep.bias_gwm_sim,
-            rep.mc_se_g_crude, rep.mc_se_gwm_crude, rep.mc_se_g_sim, rep.mc_se_gwm_sim,
-        )
-        return (
-            [s.density, s.n_studies, fmt(s.sigma_ws, precision)]
-            + [fmt(v, precision) for v in s.mean_vec]
-            + list(s.n_triplet)
-            + [fmt(v, precision) for v in biases]
-            + [s.mc_reps, s.inner_iterations, s.seed, "paper", rep.retries]
-        )
-
-    _write_csv(path, BIAS_FIELDS, [row(rep) for rep in reports])
+    statistics = BIAS_FIELDS[9:17]  # bias_g_crude to mc_se_gwm_sim, each a BiasReport field
+    _write_csv(path, BIAS_FIELDS, [
+        [s.density, s.n_studies, s.sigma_ws, *s.mean_vec, *s.n_triplet]
+        + [getattr(rep, name) for name in statistics]
+        + [s.mc_reps, s.inner_iterations, s.seed, "paper", rep.retries]
+        for rep in reports for s in [rep.scenario]
+    ], precision)

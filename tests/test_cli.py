@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -114,6 +115,14 @@ sys.exit(status)
 STARTUP_MODULES = "_defaults cli io"
 
 
+def run_fresh(code: str, *args):
+    """Run ``code`` in a fresh interpreter that imports this addmeta."""
+    src = str(Path(addmeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv, pinned, modules, loads_numpy", [
     (["--help"], None, "", False),
     (["meta", DATA / "table2_effect_sim.csv"], "table2_meta_sim.csv", "pooling", False),
@@ -127,16 +136,37 @@ def test_fresh_cli_loads_numpy_only_for_the_commands_that_compute_with_it(argv, 
     out = tmp_path / "out.csv"
     if pinned is not None:
         argv = [*argv, "--precision", "17", "-o", out]
-    src = str(Path(addmeta.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", FRESH_CLI, *map(str, argv)], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = run_fresh(FRESH_CLI, *argv)
     assert run.returncode == 0, run.stderr
     *loaded, numpy_loaded = run.stderr.splitlines()[-1].split()
     assert loaded == sorted(f"{STARTUP_MODULES} {modules}".split())
     assert numpy_loaded == str(loads_numpy)
     if pinned is not None:
         assert out.read_bytes() == (DATA / pinned).read_bytes()
+
+
+# the installed `addmeta` command's entry point, and a fresh interpreter that
+# calls it as the command does with an interrupt raised while it imports the CLI
+CONSOLE_SCRIPT = re.search(r'^addmeta = "(.+)"$', (Path(__file__).parents[1] / "pyproject.toml").read_text(),
+                           re.MULTILINE)[1]
+INTERRUPTED_IMPORT = """
+import importlib
+import sys
+
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == "addmeta.cli":
+            raise KeyboardInterrupt
+
+sys.meta_path.insert(0, Interrupt())
+module, function = sys.argv[1].split(":")
+sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+
+def test_interrupt_while_the_console_script_imports_the_cli_exits_130_with_one_line():
+    run = run_fresh(INTERRUPTED_IMPORT, CONSOLE_SCRIPT)
+    assert (run.returncode, run.stderr, run.stdout) == (130, "error: interrupted\n", "")
 
 
 # a small run of each command, and of each effect method, on the inputs pinned in tests/data

@@ -7,13 +7,19 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addmeta import io
+from addmeta._defaults import DEFAULT_SEED
+from addmeta.bias_study import BiasReport, Scenario
 from addmeta.cli import main
 from addmeta.effects import StudySummary, crude_effect
+from addmeta.odds_recovery import combine_reported_ors
+
+DATA = Path(__file__).parent / "data"
 
 NUMERIC_FIELDS = io.STUDY_FIELDS[1:]
 
@@ -218,3 +224,56 @@ def test_malformed_input_file_exits_1_with_path(command, name, text, message, tm
     err = capsys.readouterr().err
     assert f"{src}: {message}" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def assert_floats_at_two_digits(path, exact) -> None:
+    """Each row's cells named in its ``exact`` dict read as given; every other number has <= 2 digits.
+
+    An integer column written as a float would read 2e+07 for the seed, so the
+    integers asked for here are the ones two significant digits would round.
+    """
+    text_columns = {"study_id", "method", "density", "pairing", "truncation"}
+    with path.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(exact)
+    for row, expected in zip(rows, exact):
+        assert {name: row[name] for name in expected} == expected
+        for name, text in row.items():
+            if name not in expected and name not in text_columns:
+                mantissa = text.partition("e")[0].lstrip("-").replace(".", "").lstrip("0")
+                assert len(mantissa) <= 2 and np.isfinite(float(text)), (name, text)
+
+
+def test_precision_rounds_every_float_column_and_no_integer_column(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"density": "f1", "L": 5, "mean_vec": [4, 5.5, 11], "sigma_ws": 1,
+                                    "n_triplet": [150, 200, 120]}))
+    ors = [combine_reported_ors(ab, bb)[1] for _, ab, bb in io.read_or_records(DATA / "or_records.csv")]
+    runs = {
+        "effect": (["effect", DATA / "table2_cohorts.csv"], 3 * [{"seed": "", "iterations": "", "d_se": ""}]),
+        "effect-sim": (["effect", DATA / "table2_cohorts.csv", "--method", "sim", "--iterations", "1234"],
+                       3 * [{"seed": str(DEFAULT_SEED), "iterations": "1234"}]),
+        "meta": (["meta", DATA / "table2_effect_sim.csv"], [{"k": "3"}]),
+        "or": (["or", DATA / "or_records.csv"], [{"iterations_used": str(fit.iterations_used)} for fit in ors]),
+        "mc": (["mc", scenario, "--reps", "123", "--inner-iterations", "345"],
+               [{"L": "5", "n1": "150", "n2": "200", "n3": "120", "replicates": "123",
+                 "inner_iterations": "345", "seed": str(DEFAULT_SEED), "retries": "0"}]),
+    }
+    for name, (argv, exact) in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*map(str, argv), "--precision", "2", "-o", str(out)]) == 0
+        assert_floats_at_two_digits(out, exact)
+
+
+def test_numpy_integers_of_a_bias_report_are_written_exactly(tmp_path):
+    scenario = Scenario(density="f2", n_studies=np.int64(15), mean_vec=(np.float64(4), 5.5, 11), sigma_ws=5,
+                        n_triplet=(np.int32(150), np.int64(200), np.uint16(120)), mc_reps=np.int64(123),
+                        inner_iterations=np.int32(345), seed=np.uint64(DEFAULT_SEED))
+    statistics = [np.float64(k) / 3 for k in range(1, 9)]
+    out = tmp_path / "bias.csv"
+    io.write_bias_reports(out, [BiasReport(scenario, *statistics, retries=np.int64(250))], precision=2)
+    assert_floats_at_two_digits(out, [{
+        "density": "f2", "L": "15", "sigma_ws": "5", "m1": "4", "m2": "5.5", "m3": "11", "n1": "150",
+        "n2": "200", "n3": "120", "replicates": "123", "inner_iterations": "345", "seed": str(DEFAULT_SEED),
+        "retries": "250", **{name: format(v, ".2g") for name, v in zip(io.BIAS_FIELDS[9:17], statistics)},
+    }])

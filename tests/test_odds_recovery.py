@@ -440,6 +440,15 @@ class TestCombinedOR:
         assert math.isclose(fitted.beta, expected, rel_tol=1e-6)
         assert fitted.iterations_used < MAX_NEWTON_ITERATIONS
 
+    def test_variance_lost_to_an_overflowing_information_determinant_is_refused(self):
+        # present == absent in two groups: the fit stops at b = 0 on its first step.
+        # At 1e155 per cell i00*i11 - i01^2 passes the float range, so the slope's
+        # variance reads 0 and the fit is refused, not given a zero-width interval
+        fitted = combined_or(merged_table((10**150, 10**150), (10**150, 10**150), (0, 0)))
+        assert (fitted.or_value, fitted.iterations_used) == (1.0, 1) and fitted.se_beta > 0
+        with pytest.raises(ValueError, match=r"no finite Wald interval \(variance of b1 0\) after 1 iter"):
+            combined_or(merged_table((10**155, 10**155), (10**155, 10**155), (0, 0)))
+
     def test_constant_phenotype_rejected(self):
         merged = MergedTable(bb=(10, 0), ab=(10, 0), aa=(10, 0),
                              pairing="plus+plus", ab_distance=0.0)

@@ -12,6 +12,23 @@ def test_substream_draws_are_pinned():
     ]
 
 
+def test_substream_distributions_are_pinned():
+    # every stream-bound file in tests/data was written with numpy 2.4.6: a numpy
+    # whose normals, gammas or uniforms differ from its fails here first.  The
+    # gamma is an inner fit's SSE draw for a group of n = 15 with SD 2, in
+    # draw_fits' form: shape (n - 1)/2, scale 2*sd**2
+    key = (20270405, 203, 5, 0)
+    assert substream(*key).standard_normal(3).tolist() == [
+        1.2016876847655735, 0.1295418695404151, -0.5549042227937082,
+    ]
+    assert substream(*key).gamma((15 - 1) / 2, 2 * 2.0**2, 3).tolist() == [
+        82.20523077414316, 42.672789850094595, 78.52480254737875,
+    ]
+    assert substream(*key).random(3).tolist() == [
+        0.45919738035303237, 0.008324814062803276, 0.9247436337529846,
+    ]
+
+
 def test_derive_seed_is_pinned():
     # a key wider than 64 bits, as the effect command's study keys are
     assert derive_seed(7, 401, 2**80 + 3) == 8413544841944818495
