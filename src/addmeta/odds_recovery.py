@@ -25,6 +25,9 @@ MAX_NEWTON_ITERATIONS = 50
 MIN_STEP_SCALE = 2.0**-30  # the smallest fraction of a Newton step tried
 MAX_LOGIT_STEP = 30.0  # the most one step may move a group's fitted logit
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# totals below N at codes 1-3 keep |s0| <= 3N, |s1| <= 6N, i00 <= 3N/4, i01 <= 3N/2, i11 <= 7N/2 and
+# det <= 3N^2/8, so i11*s0 - i01*s1, i00*s1 - i01*s0 and det stay below 2**5 * N**2: finite for N < 2**509
+_MAX_TOTAL_EXPONENT = 509
 
 Label = Literal["AB_vs_AA", "BB_vs_AB"]
 Branch = Literal["plus", "minus"]
@@ -49,14 +52,14 @@ class ORRecord:
     def __post_init__(self):
         if self.label not in ("AB_vs_AA", "BB_vs_AB"):
             raise ValueError(f"label must be 'AB_vs_AA' or 'BB_vs_AB', got {self.label!r}")
-        if self.or_value <= 0:
-            raise ValueError(f"odds ratio must be > 0, got {self.or_value}")
         if not (0 < self.ci_lo < self.ci_hi):
             raise ValueError(f"need 0 < ci_lo < ci_hi, got ({self.ci_lo}, {self.ci_hi})")
         if not (self.ci_lo <= self.or_value <= self.ci_hi):
             raise ValueError(f"odds ratio {self.or_value} outside its CI ({self.ci_lo}, {self.ci_hi})")
-        require_integer("m_top", self.m_top, 1)
-        require_integer("m_bottom", self.m_bottom, 1)
+        for name in ("m_top", "m_bottom"):
+            require_integer(name, getattr(self, name), 1)
+            if getattr(self, name) > sys.float_info.max:  # recover_tables computes in floats
+                raise ValueError(f"{name} must be at most the largest float, {sys.float_info.max:.6g}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,6 @@ def select_pairing(
     dist = math.dist(ab_cand.top_row, bb_cand.bottom_row)
     margin = _round_half_away((ab_margin_top + ab_margin_bottom) / 2.0)
     present = _round_half_away((ab_cand.top_row[0] + bb_cand.bottom_row[0]) / 2.0)
-    present = min(max(present, 0), margin)
     return MergedTable(
         bb=bb_cand.top_row,
         ab=(present, margin - present),
@@ -241,8 +243,6 @@ def _score_and_information(groups, b0: float, b1: float, iteration: int):
         i01 += x * w
         i11 += x * (x * w)
         weights.append((w, x))
-    if not (math.isfinite(i00) and math.isfinite(i01) and math.isfinite(i11)):
-        raise ValueError(f"information matrix not finite after {iteration} iterations")
     # Cauchy-Binet: i00*i11 - i01^2 as a sum of nonnegative terms, which cannot
     # cancel when one group outweighs the others by many orders of magnitude
     det = sum(wi * wj * (xi - xj) ** 2 for (wi, xi), (wj, xj) in itertools.combinations(weights, 2))
@@ -269,28 +269,31 @@ def _log_likelihood(groups, b0: float, b1: float) -> float:
 def _separated(groups) -> bool:
     """Whether the codes of the groups with present and with absent counts do not overlap.
 
-    Then, and only then, some threshold on the code has every present count
-    on one side and every absent count on the other (a group at the
-    threshold may have both): the data are quasi-separated and the
-    likelihood has no finite maximum.
+    Then, and only then, some threshold on the code has every present count on one side and
+    every absent count on the other (a group at the threshold may have both): the data are
+    quasi-separated and the likelihood has no finite maximum.  So are a single group, and
+    groups with no present or no absent count.
     """
     present_codes = [x for present, _, x in groups if present > 0]
     absent_codes = [x for present, total, x in groups if present < total]
-    return max(absent_codes) <= min(present_codes) or max(present_codes) <= min(absent_codes)
+    return (max(absent_codes, default=-math.inf) <= min(present_codes, default=math.inf)
+            or max(present_codes, default=-math.inf) <= min(absent_codes, default=math.inf))
 
 
 def _logistic_fit(groups) -> tuple[float, float, int]:
     """Newton-Raphson MLE of logit(p) = b0 + b1*x on grouped counts.
 
-    ``groups`` holds one (present, total, x) triple per genotype group with a
-    nonzero total, with present and absent counts that are not separated by
-    the code, so the MLE is finite.  A step that lowers the log-likelihood
-    by more than 1e-12 of its magnitude, far above its rounding, is halved
-    until it does not, and so is one that moves a group's fitted logit by
-    more than MAX_LOGIT_STEP, which can land where two groups' weights
-    underflow and the next step means nothing.  Returns b1, its variance
-    (inverse observed information at the fit) and the number of Newton steps.
+    ``groups`` holds one (present, total, x) triple per genotype group with a nonzero total,
+    with present and absent counts that are not separated by the code, so the MLE is finite.
+    Counts past 2**_MAX_TOTAL_EXPONENT are divided by a power of two, which moves neither
+    the MLE nor a step.  A step that lowers the log-likelihood by more than 1e-12 of its
+    magnitude, far above its rounding, is halved until it does not, and so is one that moves
+    a group's fitted logit by more than MAX_LOGIT_STEP, which can land where two groups'
+    weights underflow and the next step means nothing.  Returns b1, its variance (inverse
+    observed information at the fit) and the number of Newton steps.
     """
+    shift = max(0, math.frexp(max(total for _, total, _ in groups))[1] - _MAX_TOTAL_EXPONENT)
+    groups = [(math.ldexp(present, -shift), math.ldexp(total, -shift), x) for present, total, x in groups]
     b0 = b1 = 0.0
     loglik = _log_likelihood(groups, b0, b1)
     for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
@@ -310,9 +313,9 @@ def _logistic_fit(groups) -> tuple[float, float, int]:
         loglik = trial
         if (abs(s0) < 1e-10 and abs(s1) < 1e-10) or (abs(step0) < 1e-10 and abs(step1) < 1e-10):
             _, _, i00, _, _, det = _score_and_information(groups, b0, b1, iteration)
-            return b1, i00 / det, iteration
+            return b1, math.ldexp(i00 / det, -shift), iteration
     raise ValueError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations: last b0={b0:.6g}, "
-                     f"b1={b1:.6g}, max |score|={max(abs(s0), abs(s1)):.3g}")
+                     f"b1={b1:.6g}, max |score|={math.ldexp(max(abs(s0), abs(s1)), shift):.3g}")
 
 
 def combined_or(merged: MergedTable) -> CombinedOR:
@@ -326,17 +329,12 @@ def combined_or(merged: MergedTable) -> CombinedOR:
     rows = ((1.0, merged.aa), (2.0, merged.ab), (3.0, merged.bb))
     groups = [(float(present), float(present + absent), x)
               for x, (present, absent) in rows if present + absent > 0]
-    if len(groups) < 2:
-        raise ValueError("need counts in at least two genotype groups")
-    total_present = sum(present for present, _, _ in groups)
-    if total_present == 0 or total_present == sum(total for _, total, _ in groups):
-        raise ValueError("phenotype vector is constant; no odds ratio is identifiable")
     if _separated(groups):
         raise ValueError("no finite Wald interval: the genotype code separates the present from "
                          "the absent counts, so the slope has no finite maximum-likelihood estimate")
     b1, variance, iterations = _logistic_fit(groups)
     # fitted probabilities rounded to 0 or 1 leave the slope's likelihood flat
-    if not (variance > 0 and abs(b1) + Z_95 * math.sqrt(variance) < _LOG_FLOAT_MAX):
+    if not abs(b1) + Z_95 * math.sqrt(variance) < _LOG_FLOAT_MAX:
         raise ValueError(f"no finite Wald interval (variance of b1 {variance:.3g}) after {iterations} "
                          "iterations")
     se = math.sqrt(variance)

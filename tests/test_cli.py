@@ -637,8 +637,8 @@ class TestOrCommand:
         assert read_rows(out)[0]["iterations_used"] == str(combined.iterations_used)
 
     def test_unbounded_interval_exits_1_naming_the_study(self, tmp_path, capsys):
-        # merges to AA (2, 66589981), AB (0, 1), BB (0, 375301268): the slope's
-        # likelihood is flat, and its Wald interval does not fit in a float
+        # merges to AA (2, 66589981), AB (0, 1), BB (0, 375301268): only AA has a
+        # present count, so the code separates the counts and no fit is made
         src = tmp_path / "ors.csv"
         src.write_text(
             "study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n"
