@@ -11,4 +11,8 @@ def require_integer(name: str, value, low: int | None = None) -> None:
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integer or (low is not None and value < low):
         rule = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be an integer{rule}, got {value!r}")
+        try:
+            shown = repr(value)
+        except ValueError:  # an int past Python's int-to-text limit (4300 digits by default)
+            shown = f"{'a negative' if value < 0 else 'an'} integer of {abs(int(value)).bit_length()} bits"
+        raise ValueError(f"{name} must be an integer{rule}, got {shown}")

@@ -22,11 +22,6 @@ from . import __version__, io
 from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED
 
 
-def _study_key(study_id: str) -> int:
-    """An integer key that is a one-to-one function of ``study_id``."""
-    return int.from_bytes(b"\x01" + study_id.encode("utf-8"), "big")
-
-
 def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
@@ -69,17 +64,10 @@ def _cmd_effect(args) -> None:
         if args.method == "crude":
             effects = [crude_effect(s, standardizer=args.standardizer) for s in summaries]
         else:
-            from ._rng import EFFECT_STUDY, derive_seed
             from .simulate import SimConfig, sim_effect
 
-            # each study's stream is keyed by its id, so it does not depend on the other rows
-            effects = [
-                sim_effect(s, SimConfig(
-                    iterations=args.iterations,
-                    seed=derive_seed(args.seed, EFFECT_STUDY, _study_key(s.study_id)),
-                ))
-                for s in summaries
-            ]
+            config = SimConfig(iterations=args.iterations, seed=args.seed)
+            effects = [sim_effect(s, config) for s in summaries]
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from exc
     io.write_effects(args.output, effects, args.seed, args.iterations, args.precision)

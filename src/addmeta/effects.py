@@ -51,6 +51,11 @@ class StudySummary:
     n: tuple[int, int, int]
 
     def __post_init__(self):
+        try:
+            str.encode(self.study_id, "utf-8")  # the id's bytes key the study's simulation stream
+        except (TypeError, UnicodeEncodeError):
+            got = repr(self.study_id) if isinstance(self.study_id, str) else f"type {type(self.study_id).__name__}"
+            raise ValueError(f"study_id must be a str that UTF-8 can encode, got {got}") from None
         for name, vec in (("m", self.m), ("sd", self.sd), ("n", self.n)):
             if len(vec) != 3:
                 raise ValueError(f"{self.study_id}: {name} must have exactly 3 entries, got {len(vec)}")

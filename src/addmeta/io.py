@@ -89,12 +89,12 @@ def _parse_rows(rows: Iterable, parse: Callable, origin, first_row: int, what: s
     return records
 
 
-def _read(path, read: Callable):
-    """Apply ``read`` to the open file; text that is not UTF-8, or not JSON, is refused with the path."""
+def _read(path, read: Callable, refused: type[ValueError] = UnicodeDecodeError):
+    """Apply ``read`` to the open file; a ``refused`` error (by default, text that is not UTF-8) names the path."""
     try:
         with Path(path).open(newline="", encoding="utf-8-sig") as handle:
             return read(handle)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except refused as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -137,10 +137,8 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence], precision:
 def _study_summary(row) -> StudySummary:
     from .effects import StudySummary
 
-    study_id = str(row["study_id"])
-    study_id.encode("utf-8")  # refuses a lone surrogate from JSON, which no stream key or CSV can hold
     return StudySummary(
-        study_id=study_id,
+        study_id=str(row["study_id"]),
         m=tuple(_float(row, f"m{k}") for k in "123"),
         sd=tuple(_float(row, f"sd{k}") for k in "123"),
         n=tuple(_int(row, f"n{k}") for k in "123"),
@@ -159,7 +157,8 @@ def read_study_summaries(path) -> list[StudySummary]:
     path = Path(path)
     if path.suffix.lower() != ".json":
         return _read_csv(path, STUDY_FIELDS, _study_summary, "studies", key=_study_id)
-    records = _read(path, json.load)
+    # json.load raises ValueError for text that is not JSON and for an int past Python's digit limit
+    records = _read(path, json.load, ValueError)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON list of study objects")
     return _parse_rows(records, _study_summary, path, 1, "studies", key=_study_id)
@@ -248,7 +247,7 @@ def read_scenario(path, **overrides) -> Scenario:
     from .bias_study import Scenario
 
     path = Path(path)
-    data = _read(path, json.load)
+    data = _read(path, json.load, ValueError)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object of scenario settings")
     known = {"density", "L", "mean_vec", "sigma_ws", "n_triplet", "mc_reps", "inner_iterations", "seed"}

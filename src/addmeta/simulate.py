@@ -18,8 +18,8 @@ independent sd_k^2 * chi-square(n_k - 1), a gamma with shape (n_k - 1) / 2
 and scale 2 sd_k^2.  Each iteration therefore draws two correlated normals
 (slope and curvature) and one scaled gamma per group instead of N
 individuals; the estimate has the same distribution.  A study's iterations
-draw from one generator.  The contrast weights depend only on the group
-sizes, so each n-triplet builds them once.
+draw from one generator keyed by the seed and its id.  The contrast weights
+depend only on the group sizes, so each n-triplet builds them once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED, require_integer
-from ._rng import SIM_DRAWS, substream
+from ._rng import EFFECT_STUDY, SIM_DRAWS, derive_seed, substream
 from .effects import AdditiveEffect, StudySummary, effect_from_d
 
 _CODES = np.array([1.0, 2.0, 3.0])
@@ -150,15 +150,18 @@ def sim_effect(summary: StudySummary, config: SimConfig = SimConfig()) -> Additi
     per-draw ratio (so ``d`` differs from ``beta/sd_beta`` by
     O(1/iterations)), and ``d_se`` is its Monte Carlo SE.  The pairwise g
     machinery is applied to the averaged d exactly as in the crude estimator.
-    Deterministic for a given (summary, seed, iterations).  Raises
-    ``ValueError`` if a draw or an average leaves the floating-point range.
+    The random stream depends only on the seed and ``study_id``, not on the
+    other studies run at ``config``.  Raises ``ValueError`` if a draw or an
+    average leaves the floating-point range.
     """
     n_iter = config.iterations
+    # a one-to-one integer key of the id's UTF-8 bytes (the leading 1 keeps leading zero bytes)
+    key = int.from_bytes(b"\x01" + summary.study_id.encode("utf-8"), "big")
     try:
         # an overflow, a 0/0 or a zero slope SD raises here instead of writing inf or nan
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             betas, sds, ds = draw_fits(summary.m, summary.sd, summary.n, n_iter,
-                                       substream(config.seed, SIM_DRAWS))
+                                       substream(derive_seed(config.seed, EFFECT_STUDY, key), SIM_DRAWS))
             # ndarray.sum and a division give numpy's mean() and std(ddof=1) bit for bit, less wrappers
             d = float(ds.sum()) / n_iter
             ds -= d

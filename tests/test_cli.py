@@ -799,8 +799,12 @@ STUDY_JSON = ('[{"study_id": %s, "m1": 4, "m2": 5.5, "m3": 7, "sd1": 1, "sd2": 1
     ("effect", "in.json", b'[{"study_id": ', ""),
     ("mc", "cell.json", b'{"density": ', ""),
     ("effect", "in.json", (STUDY_JSON % r'"\ud800"').encode(), ", row 1"),
+    # json.load refuses an integer of more than 4300 digits (sys.get_int_max_str_digits)
+    ("effect", "in.json", (STUDY_JSON % '"A"').replace('"n1": 10', '"n1": -' + "1" * 5000).encode(), ""),
+    ("mc", "cell.json", b'{"mc_reps": -' + b"1" * 5000 + b"}", ""),
 ], ids=["study-csv-not-utf8", "study-json-not-utf8", "effects-csv-not-utf8", "or-csv-not-utf8",
-        "scenario-not-utf8", "study-json-truncated", "scenario-truncated", "study-id-lone-surrogate"])
+        "scenario-not-utf8", "study-json-truncated", "scenario-truncated", "study-id-lone-surrogate",
+        "study-json-int-past-digit-limit", "scenario-int-past-digit-limit"])
 def test_unreadable_input_exits_1_naming_the_file(command, name, data, where, tmp_path, capsys):
     src = tmp_path / name
     src.write_bytes(data)

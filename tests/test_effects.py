@@ -6,9 +6,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from addmeta.bias_study import Scenario
 from addmeta.effects import (
     StudySummary,
     cohens_d_variance,
@@ -17,6 +18,7 @@ from addmeta.effects import (
     effect_from_d,
     hedges_j,
 )
+from addmeta.odds_recovery import ORRecord
 
 SATIETY = StudySummary("SATIETY", (11.45, 12.16, 14.73), (8.29, 8.38, 9.63), (63, 63, 42))
 EUFEST = StudySummary("EUFEST", (4.04, 5.35, 4.67), (5.11, 5.88, 6.44), (74, 40, 9))
@@ -104,6 +106,27 @@ class TestStudySummary:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             SATIETY.m = (0, 0, 0)
+
+    # the id's UTF-8 bytes key the study's simulation stream
+    @pytest.mark.parametrize("study_id, got", [(7, "type int"), ("\ud800", r"'\\ud800'")], ids=["int", "surrogate"])
+    def test_rejects_an_id_that_is_not_utf8_text(self, study_id, got):
+        with pytest.raises(ValueError, match=rf"^study_id must be a str that UTF-8 can encode, got {got}$"):
+            StudySummary(study_id, (1, 2, 3), (1, 1, 1), (5, 5, 5))
+
+
+# the largest int that Python writes as text has 4300 digits (sys.get_int_max_str_digits)
+@pytest.mark.parametrize("build, message", [
+    (lambda k: ORRecord("AB_vs_AA", 1.5, 1.1, 2.0, k, 100), "m_top must be an integer >= 1"),
+    (lambda k: Scenario("f1", 5, (4, 5.5, 7), 1.0, (10, 15, 5), mc_reps=k), "mc_reps must be an integer >= 2"),
+    (lambda k: StudySummary("x", (1, 2, 3), (1, 1, 1), (k, 5, 5)), "x: n1 must be an integer >= 2"),
+], ids=["or-margin", "scenario-reps", "study-size"])
+def test_a_refused_integer_too_long_to_write_is_named_by_sign_and_bit_count(build, message):
+    for k, shown in [(-10**5000, "a negative integer of 16610 bits"),
+                     (-10**4300, "a negative integer of 14285 bits"),
+                     (-(10**4300 - 1), "-" + "9" * 4300),
+                     (-7, "-7")]:
+        with pytest.raises(ValueError, match=f"^{message}, got {shown}$"):
+            build(k)
 
 
 class TestReferencePooledSd:
@@ -323,3 +346,28 @@ def test_pairwise_effects_uses_right_group_sizes():
     moved = effect_from_d("s", 0.0, 1.0, 0.3, (20, 10, 40), "crude")
     assert moved.v_g != pytest.approx(eff.v_g, rel=1e-6)
     assert moved.v_g == pytest.approx(_two_pair(0.3, (20, 10, 40))[1], rel=1e-15)
+
+
+def _merged(groups):
+    """(n, mean, sd) of the union of (n, mean, sd) groups, from their summaries alone."""
+    n = sum(k for k, _, _ in groups)
+    mean = sum(k * m for k, m, _ in groups) / n
+    sse = sum((k - 1) * s**2 + k * (m - mean) ** 2 for k, m, s in groups)
+    return n, mean, math.sqrt(sse / (n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups=st.tuples(*[st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30)] * 3),
+       dominant=st.booleans())
+def test_dominant_and_recessive_d_from_summaries_equals_the_individual_data_d(groups, dominant):
+    # a dominant model compares AA with AB and BB merged, a recessive one AA and AB merged with BB
+    split = 1 if dominant else 2
+    data = [np.array(g) for g in groups]
+    low, high = np.concatenate(data[:split]), np.concatenate(data[split:])
+    rss = ((low - low.mean()) ** 2).sum() + ((high - high.mean()) ** 2).sum()
+    pooled = math.sqrt(rss / (len(low) + len(high) - 2))
+    assume(pooled > 0.1)
+    summaries = [(len(g), float(g.mean()), float(g.std(ddof=1))) for g in data]
+    (n_lo, m_lo, sd_lo), (n_hi, m_hi, sd_hi) = _merged(summaries[:split]), _merged(summaries[split:])
+    from_summaries = (m_hi - m_lo) / reference_pooled_sd((sd_lo, n_lo), (sd_hi, n_hi))
+    assert from_summaries == pytest.approx((high.mean() - low.mean()) / pooled, rel=1e-12, abs=1e-12)

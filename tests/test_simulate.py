@@ -1,6 +1,8 @@
 """Simulation estimator: regression/ANOVA identities, oracles, goldens."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addmeta import simulate
-from addmeta._rng import SIM_DRAWS, substream
+from addmeta._rng import EFFECT_STUDY, SIM_DRAWS, derive_seed, substream
 from addmeta.effects import AdditiveEffect, StudySummary, cohens_d_variance, crude_effect, hedges_j
+from addmeta.io import read_study_summaries
 from addmeta.simulate import (
     SimConfig,
     additive_fit_rows,
@@ -20,6 +23,7 @@ from addmeta.simulate import (
 
 ZHH = StudySummary("ZHH-FE", (3.24, 2.44, 3.64), (2.11, 1.23, 2.42), (25, 24, 21))
 SATIETY = StudySummary("SATIETY", (11.45, 12.16, 14.73), (8.29, 8.38, 9.63), (63, 63, 42))
+DATA = Path(__file__).parent / "data"
 DEGENERATE = "sample has zero variance in every group and no lack of fit"
 
 
@@ -148,10 +152,10 @@ class TestSimulateStudy:
 
     def test_golden_stats_replay(self):
         effect = sim_effect(ZHH, SimConfig(iterations=500, seed=99))
-        assert effect.beta == pytest.approx(0.16897658247820274, rel=1e-12)
-        assert effect.sd_beta == pytest.approx(2.0238844971790737, rel=1e-12)
-        assert effect.d == pytest.approx(0.08448371171520672, rel=1e-12)
-        assert effect.d_se == pytest.approx(0.007381443063314898, rel=1e-12)
+        assert effect.beta == pytest.approx(0.1671100279351119, rel=1e-12)
+        assert effect.sd_beta == pytest.approx(2.023321415149666, rel=1e-12)
+        assert effect.d == pytest.approx(0.08114770989995373, rel=1e-12)
+        assert effect.d_se == pytest.approx(0.007262242072763482, rel=1e-12)
 
     def test_noise_free_limit_recovers_slope(self):
         summary = StudySummary("limit", (4, 5.5, 7), (1e-8, 1e-8, 1e-8), (20, 20, 20))
@@ -193,7 +197,8 @@ def noncentral_t_mean_d(beta, sigma, n):
 )
 def test_iteration_reductions_equal_numpy_mean_and_std(m, sd, n, iterations, seed):
     summary, config = StudySummary("s", m, sd, n), SimConfig(iterations=iterations, seed=seed)
-    betas, sds, ds = draw_fits(m, sd, n, iterations, substream(seed, SIM_DRAWS))
+    rng = substream(derive_seed(seed, EFFECT_STUDY, int.from_bytes(b"\x01s", "big")), SIM_DRAWS)
+    betas, sds, ds = draw_fits(m, sd, n, iterations, rng)
     effect = sim_effect(summary, config)
     assert effect.beta == float(betas.mean())
     assert effect.sd_beta == float(sds.mean())
@@ -371,6 +376,27 @@ class TestSimEffect:
     def test_config_refuses_a_count_or_seed_it_cannot_run(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SimConfig(**{field: value})
+
+    def test_rows_equal_the_pinned_cli_output(self):
+        # effect --method sim --iterations 500 --seed 7 --precision 17 on the Table-2 cohorts
+        config = SimConfig(iterations=500, seed=7)
+        with open(DATA / "table2_effect_sim.csv", newline="") as handle:
+            pinned = list(csv.DictReader(handle))
+        for summary, row in zip(read_study_summaries(DATA / "table2_cohorts.csv"), pinned, strict=True):
+            effect = sim_effect(summary, config)
+            assert row["study_id"] == effect.study_id
+            for name in ("beta", "sd_beta", "d", "g", "v_g", "d_se"):
+                assert row[name] == format(getattr(effect, name), ".17g"), (effect.study_id, name)
+
+    def test_studies_that_differ_only_in_id_draw_apart(self):
+        config = SimConfig(iterations=200, seed=3)
+        a, b = (sim_effect(StudySummary(study_id, ZHH.m, ZHH.sd, ZHH.n), config) for study_id in ("A", "B"))
+        assert a.d != b.d
+
+    def test_a_study_draws_the_same_alone_or_in_a_list(self):
+        config = SimConfig(iterations=200, seed=3)
+        in_list = [sim_effect(s, config) for s in (SATIETY, ZHH)]
+        assert in_list[1] == sim_effect(ZHH, config)
 
     def test_config_takes_numpy_integers_and_seeds_above_2_to_the_53(self):
         numpy_ints = SimConfig(iterations=np.int64(50), seed=np.uint64(2**63 + 1))
