@@ -12,10 +12,8 @@ when it runs, so only those two runs load numpy: starting the CLI, ``meta``,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__, io
@@ -39,6 +37,9 @@ _iteration_count = partial(_int_at_least, low=2, what="number of iterations >= 2
 
 
 def _write_manifest(args) -> None:
+    import json
+    from datetime import datetime, timezone
+
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
     versions = {"addmeta": __version__, "python": sys.version.split()[0]}
     if args.command == "mc" or vars(args).get("method") == "sim":  # the runs that draw
@@ -112,6 +113,7 @@ def _cmd_or(args) -> None:
     io.write_combined_ors(args.output, rows, args.precision)
 
 
+@cache  # parse_args leaves the parser as it was, so one build serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="addmeta",

@@ -17,13 +17,14 @@ load numpy.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
+TYPE_CHECKING = False  # the annotations are strings, so start-up need not load typing
 if TYPE_CHECKING:
+    from typing import Callable, Iterable, Sequence, TextIO
+
     from .bias_study import BiasReport, Scenario
     from .effects import AdditiveEffect, StudySummary
     from .odds_recovery import CombinedOR, MergedTable, ORRecord
@@ -138,7 +139,7 @@ def _study_summary(row) -> StudySummary:
     from .effects import StudySummary
 
     return StudySummary(
-        study_id=str(row["study_id"]),
+        study_id=row["study_id"],
         m=tuple(_float(row, f"m{k}") for k in "123"),
         sd=tuple(_float(row, f"sd{k}") for k in "123"),
         n=tuple(_int(row, f"n{k}") for k in "123"),
@@ -157,6 +158,8 @@ def read_study_summaries(path) -> list[StudySummary]:
     path = Path(path)
     if path.suffix.lower() != ".json":
         return _read_csv(path, STUDY_FIELDS, _study_summary, "studies", key=_study_id)
+    import json
+
     # json.load raises ValueError for text that is not JSON and for an int past Python's digit limit
     records = _read(path, json.load, ValueError)
     if not isinstance(records, list):
@@ -244,6 +247,8 @@ def read_scenario(path, **overrides) -> Scenario:
     The study count is keyed ``L``.  ``overrides`` (``mc_reps``,
     ``inner_iterations``, ``seed``) replace the file's values.
     """
+    import json
+
     from .bias_study import Scenario
 
     path = Path(path)

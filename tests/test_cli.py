@@ -27,6 +27,7 @@ from addmeta.bias_study import (
     full_grid,
     perturb_study_params,
 )
+from addmeta._defaults import DEFAULT_SEED
 from addmeta.cli import main
 from addmeta._rng import MC_PARAMS, substream
 from addmeta.odds_recovery import ORRecord, combine_reported_ors
@@ -143,6 +144,51 @@ def test_fresh_cli_loads_numpy_only_for_the_commands_that_compute_with_it(argv, 
     assert numpy_loaded == str(loads_numpy)
     if pinned is not None:
         assert out.read_bytes() == (DATA / pinned).read_bytes()
+
+
+# a fresh interpreter that imports the CLI and builds its parser, then prints the
+# modules that this loaded; modules loaded before (say by a site hook) are not counted
+FRESH_STARTUP = """
+import sys
+before = set(sys.modules)
+import addmeta.cli
+addmeta.cli.build_parser()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_start_up_loads_no_json_datetime_typing_or_numpy():
+    run = run_fresh(FRESH_STARTUP)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "addmeta.cli" in loaded
+    assert loaded.isdisjoint({"json", "datetime", "typing", "numpy"}), loaded
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    def effect(name, *flags):
+        out = tmp_path / name
+        assert main(["effect", str(DATA / "table2_cohorts.csv"), "--method", "sim", "--iterations", "500",
+                     *flags, "--precision", "17", "-o", str(out)]) == 0
+        return out
+
+    with pytest.raises(SystemExit) as usage:
+        main(["effect", "--method", "nope"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    effect("seed3.csv", "--seed", "3")
+    unseeded = effect("unseeded.csv")
+    assert json.loads(Path(f"{unseeded}.manifest.json").read_text())["options"]["seed"] == DEFAULT_SEED
+    assert effect("seed7.csv", "--seed", "7").read_bytes() == (DATA / "table2_effect_sim.csv").read_bytes()
+    # --reps given once, then left out: the second run takes the config's mc_reps (6)
+    config = DATA / "mc_f1_scenario.json"
+    for name, flags, replicates in [("reps2.csv", ["--reps", "2"], "2"), ("reps6.csv", [], "6")]:
+        assert main(["mc", str(config), *flags, "-o", str(tmp_path / name)]) == 0
+        assert {row["replicates"] for row in read_rows(tmp_path / name)} == {replicates}
 
 
 # the installed `addmeta` command's entry point, and a fresh interpreter that
@@ -802,9 +848,12 @@ STUDY_JSON = ('[{"study_id": %s, "m1": 4, "m2": 5.5, "m3": 7, "sd1": 1, "sd2": 1
     # json.load refuses an integer of more than 4300 digits (sys.get_int_max_str_digits)
     ("effect", "in.json", (STUDY_JSON % '"A"').replace('"n1": 10', '"n1": -' + "1" * 5000).encode(), ""),
     ("mc", "cell.json", b'{"mc_reps": -' + b"1" * 5000 + b"}", ""),
+    # a JSON study_id that is not a string is refused, not written as its str()
+    *[("effect", "in.json", (STUDY_JSON % value).encode(), ", row 1") for value in ("null", '["x"]', "7", "true")],
 ], ids=["study-csv-not-utf8", "study-json-not-utf8", "effects-csv-not-utf8", "or-csv-not-utf8",
         "scenario-not-utf8", "study-json-truncated", "scenario-truncated", "study-id-lone-surrogate",
-        "study-json-int-past-digit-limit", "scenario-int-past-digit-limit"])
+        "study-json-int-past-digit-limit", "scenario-int-past-digit-limit", "study-id-null", "study-id-list",
+        "study-id-number", "study-id-bool"])
 def test_unreadable_input_exits_1_naming_the_file(command, name, data, where, tmp_path, capsys):
     src = tmp_path / name
     src.write_bytes(data)
