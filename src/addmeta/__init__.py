@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "ORRecord": "odds_recovery",
     "Scenario": "bias_study",
-    "SimConfig": "simulate",
+    "SimConfig": "effects",
     "StudySummary": "effects",
     "combine_reported_ors": "odds_recovery",
     "crude_beta": "effects",

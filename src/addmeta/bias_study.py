@@ -29,6 +29,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -148,9 +149,10 @@ class Scenario:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        # 2 replicates and 2 inner iterations, so that there is a Monte Carlo SE
-        for name, low in (("n_studies", None), ("mc_reps", 2), ("inner_iterations", 2), ("seed", 0)):
-            require_integer(name, getattr(self, name), low)
+        # 2 replicates and 2 inner iterations, so that there is a Monte Carlo SE; run_scenario
+        # keeps a slot per replicate, and a list holds at most sys.maxsize
+        for name, *bounds in (("n_studies",), ("mc_reps", 2, sys.maxsize), ("inner_iterations", 2), ("seed", 0)):
+            require_integer(name, getattr(self, name), *bounds)
         for i, k in enumerate(self.n_triplet):
             require_integer(f"n_triplet[{i}]", k)
         object.__setattr__(self, "mean_vec", tuple(float(x) for x in self.mean_vec))

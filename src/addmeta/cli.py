@@ -13,27 +13,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from . import __version__, io
 from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED
 
 
-def _int_at_least(text: str, low: int, what: str) -> int:
+def _positive_int(text: str) -> int:
+    """``--precision`` and ``effect --workers``: the flags that no library type checks."""
     try:
         value = int(text)
     except ValueError:
-        value = low - 1
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-_positive_int = partial(_int_at_least, low=1, what="positive integer")
-_non_negative_int = partial(_int_at_least, low=0, what="non-negative integer")
-# one draw has no Monte Carlo SE for the d_se column
-_iteration_count = partial(_int_at_least, low=2, what="number of iterations >= 2")
 
 
 def _write_manifest(args) -> None:
@@ -58,16 +53,16 @@ def _write_manifest(args) -> None:
 
 
 def _cmd_effect(args) -> None:
-    from .effects import crude_effect
+    from .effects import SimConfig, crude_effect
 
+    config = SimConfig(iterations=args.iterations, seed=args.seed)  # a crude run refuses what sim would
     summaries = io.read_study_summaries(args.input)
     try:
         if args.method == "crude":
             effects = [crude_effect(s, standardizer=args.standardizer) for s in summaries]
         else:
-            from .simulate import SimConfig, sim_effect
+            from .simulate import sim_effect
 
-            config = SimConfig(iterations=args.iterations, seed=args.seed)
             effects = [sim_effect(s, config) for s in summaries]
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from exc
@@ -136,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="crude-method standardizer: three-group pooled SD (default, the published "
         "real-data convention) or the mean of the two pairwise pooled SDs",
     )
-    p_effect.add_argument("--iterations", type=_iteration_count, default=DEFAULT_ITERATIONS)
-    p_effect.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
+    p_effect.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
+    p_effect.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_effect.add_argument("--workers", type=_positive_int, default=1,
                           help="accepted for symmetry with mc; has no effect on effect")
     common(p_effect)
@@ -153,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--reps", type=int, default=None, help="override replicate count")
     p_mc.add_argument("--inner-iterations", type=int, default=None,
                       help="override simulation iterations per study")
-    p_mc.add_argument("--seed", type=_non_negative_int, default=None)
+    p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument("--full-grid", action="store_true",
                       help="run every scenario cell instead of a single config")
-    p_mc.add_argument("--workers", type=_positive_int, default=1,
+    p_mc.add_argument("--workers", type=int, default=1,
                       help="threads for the Monte Carlo replicates (default 1); "
                       "results do not depend on it")
     common(p_mc)

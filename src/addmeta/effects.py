@@ -3,10 +3,11 @@
 A genetic association study under the additive model reports, for the three
 genotype groups (0, 1 and 2 copies of the risk allele), a mean, a standard
 deviation and a sample size of some continuous phenotype.  This module holds
-the summary-statistics container and the "crude" estimator that turns those
-nine numbers into a standardized additive effect (Hedges' g with variance),
-plus the d-to-g step (``pairwise_g``, behind ``effect_from_d``) shared with the
-simulation estimator and the bias study's truth fit.
+the summary-statistics container, the "crude" estimator that turns those nine
+numbers into a standardized additive effect (Hedges' g with variance), the
+d-to-g step (``pairwise_g``, behind ``effect_from_d``) shared with the
+simulation estimator and the bias study's truth fit, and ``SimConfig``, the
+simulation estimator's settings, so that they are checked without numpy.
 
 Two standardizers are available for the crude slope, reflecting the two
 conventions found in published applications of this estimator:
@@ -28,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from ._defaults import require_integer
+from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED, require_integer
 
 Standardizer = Literal["pair-mean", "pooled"]
 
@@ -104,6 +105,18 @@ class AdditiveEffect:
     v_g: float
     method: Literal["crude", "simulation"]
     d_se: float | None = None
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Iteration count and seed for the simulation estimator."""
+
+    iterations: int = DEFAULT_ITERATIONS
+    seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        require_integer("iterations", self.iterations, 2)  # 2, so that there is a Monte Carlo SE
+        require_integer("seed", self.seed, 0)
 
 
 def crude_beta(m, sd, n: Sequence[int], standardizer: Standardizer = "pair-mean") -> tuple[float, float]:

@@ -67,7 +67,7 @@ def _int(row, field: str) -> int:
     return int(value)
 
 
-def _parse_rows(rows: Iterable, parse: Callable, origin, first_row: int, what: str, key=None) -> list:
+def _parse_rows(rows: Iterable, parse: Callable, origin, first_row: int, what: str, key: Callable) -> list:
     """Apply ``parse`` to every row; an error names ``origin`` and the row number.
 
     ``key`` maps a parsed record to a description that must be unique in
@@ -77,11 +77,10 @@ def _parse_rows(rows: Iterable, parse: Callable, origin, first_row: int, what: s
     for row_no, row in enumerate(rows, first_row):
         try:
             record = parse(row)
-            if key is not None:
-                tag = key(record)
-                if tag in seen:
-                    raise ValueError(f"duplicate {tag}")
-                seen.add(tag)
+            tag = key(record)
+            if tag in seen:
+                raise ValueError(f"duplicate {tag}")
+            seen.add(tag)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{origin}, row {row_no}: {exc}") from exc
         records.append(record)
@@ -99,7 +98,7 @@ def _read(path, read: Callable, refused: type[ValueError] = UnicodeDecodeError):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_csv(path, fields: Sequence[str], parse: Callable, what: str, key=None) -> list:
+def _read_csv(path, fields: Sequence[str], parse: Callable, what: str, key: Callable) -> list:
     """Parse each data row of a CSV with a header that holds ``fields``."""
     def rows(handle):
         reader = csv.DictReader(handle)

@@ -25,30 +25,16 @@ depend only on the group sizes, so each n-triplet builds them once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from ._defaults import DEFAULT_ITERATIONS, DEFAULT_SEED, require_integer
 from ._rng import EFFECT_STUDY, SIM_DRAWS, derive_seed, substream
-from .effects import AdditiveEffect, StudySummary, effect_from_d
+from .effects import AdditiveEffect, SimConfig, StudySummary, effect_from_d
 
 _CODES = np.array([1.0, 2.0, 3.0])
 _CURVATURE = np.array([1.0, -2.0, 1.0])
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Iteration count and seed for the simulation estimator."""
-
-    iterations: int = DEFAULT_ITERATIONS
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        require_integer("iterations", self.iterations, 2)  # 2, so that there is a Monte Carlo SE
-        require_integer("seed", self.seed, 0)
 
 
 class _Design:

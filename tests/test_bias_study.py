@@ -226,6 +226,17 @@ class TestScenarioValidation:
             Scenario(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0,
                      n_triplet=(10, 15, 5), inner_iterations=1)
 
+    def test_refuses_more_replicates_than_a_list_holds(self):
+        good = dict(density="f1", n_studies=5, mean_vec=(4, 5.5, 7), sigma_ws=1.0, n_triplet=(10, 15, 5))
+        assert Scenario(**good, mc_reps=sys.maxsize).mc_reps == sys.maxsize
+        # run_scenario keeps one result slot per replicate, and a list holds at most sys.maxsize items
+        rule = f"mc_reps must be an integer <= {sys.maxsize}, got "
+        for reps, shown in [(sys.maxsize + 1, str(sys.maxsize + 1)),
+                            (np.uint64(2**64 - 1), repr(np.uint64(2**64 - 1))),
+                            (10**5000, "an integer of 16610 bits")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(rule + shown)}$"):
+                Scenario(**good, mc_reps=reps)
+
     @pytest.mark.parametrize("field, value, message", [
         ("n_triplet", (10.9, 15, 5), "n_triplet[0] must be an integer, got 10.9"),
         ("n_studies", 5.0, "n_studies must be an integer, got 5.0"),

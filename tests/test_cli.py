@@ -86,7 +86,7 @@ def test_package_namespace_holds_one_entry_point_per_step():
 
 
 @pytest.mark.parametrize("name, module", [
-    ("ORRecord", "odds_recovery"), ("Scenario", "bias_study"), ("SimConfig", "simulate"),
+    ("ORRecord", "odds_recovery"), ("Scenario", "bias_study"), ("SimConfig", "effects"),
     ("StudySummary", "effects"), ("combine_reported_ors", "odds_recovery"), ("crude_beta", "effects"),
     ("crude_effect", "effects"), ("pool_random_effects", "pooling"), ("run_scenario", "bias_study"),
     ("sim_effect", "simulate"),
@@ -410,18 +410,9 @@ class TestEffectCommand:
 class TestWorkersOption:
     @pytest.mark.parametrize("argv, message", [
         (["effect", "in.csv", "--workers", "0", "-o", "out.csv"], "--workers: expected a positive integer"),
-        (["mc", "in.json", "--workers", "-3", "-o", "out.csv"], "--workers: expected a positive integer"),
-        (["mc", "in.json", "--workers", "two", "-o", "out.csv"], "--workers: expected a positive integer"),
-        (["effect", "in.csv", "--method", "sim", "--seed", "-3", "-o", "out.csv"],
-         "--seed: expected a non-negative integer"),
-        (["mc", "in.json", "--seed", "-1", "-o", "out.csv"], "--seed: expected a non-negative integer"),
-        (["effect", "in.csv", "--method", "sim", "--iterations", "1", "-o", "out.csv"],
-         "--iterations: expected a number of iterations >= 2"),
-        (["effect", "in.csv", "--iterations", "0", "-o", "out.csv"],
-         "--iterations: expected a number of iterations >= 2"),
+        (["mc", "in.json", "--workers", "two", "-o", "out.csv"], "argument --workers: invalid int value: 'two'"),
         (["mc", "in.json", "--truncation", "paper", "-o", "out.csv"], "unrecognized arguments"),
-    ], ids=["effect-zero", "mc-negative", "mc-not-a-number", "effect-seed-negative", "mc-seed-negative",
-            "effect-one-iteration", "effect-zero-iterations", "mc-truncation-removed"])
+    ], ids=["effect-zero", "mc-not-a-number", "mc-truncation-removed"])
     def test_invalid_flag_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -429,6 +420,35 @@ class TestWorkersOption:
         err = capsys.readouterr().err
         assert "usage:" in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("effect", "--iterations"), ("effect", "--seed"), ("mc", "--reps"), ("mc", "--inner-iterations"),
+        ("mc", "--seed"), ("mc", "--workers"),
+    ])
+    def test_a_count_or_seed_that_is_not_integer_text_is_a_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "in", flag, "2.5", "-o", "out.csv"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int value: '2.5'" in capsys.readouterr().err
+
+    # each count and seed is checked once, by the type that uses it: one error line, exit 1, no files
+    @pytest.mark.parametrize("argv, message", [
+        (["effect", DATA / "table2_cohorts.csv", "--method", "sim", "--seed", "-3"],
+         "seed must be an integer >= 0, got -3"),
+        (["mc", DATA / "mc_f1_scenario.json", "--seed", "-1"],
+         f"{DATA / 'mc_f1_scenario.json'}: seed must be an integer >= 0, got -1"),
+        (["mc", "--full-grid", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["effect", DATA / "table2_cohorts.csv", "--method", "sim", "--iterations", "1"],
+         "iterations must be an integer >= 2, got 1"),
+        (["effect", DATA / "table2_cohorts.csv", "--iterations", "0"], "iterations must be an integer >= 2, got 0"),
+        (["mc", DATA / "mc_f1_scenario.json", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
+        (["mc", DATA / "mc_f1_scenario.json", "--workers", "0"], "workers must be an integer >= 1, got 0"),
+    ], ids=["effect-seed-negative", "mc-seed-negative", "mc-full-grid-seed-negative", "effect-one-iteration",
+            "effect-zero-iterations", "mc-negative", "mc-zero"])
+    def test_a_value_below_the_minimum_exits_1_with_the_rule(self, argv, message, tmp_path, capsys):
+        assert main([*map(str, argv), "-o", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMetaCommand:
@@ -757,6 +777,10 @@ class TestOrCommand:
 
 
 STUDY_HEADER = "study_id,m1,m2,m3,sd1,sd2,sd3,n1,n2,n3\n"
+SCENARIO_JSON = ('{"density": "f1", "L": 5, "mean_vec": [4, 5.5, 11], "sigma_ws": 1, "n_triplet": [10, 15, 5], '
+                 '"mc_reps": %s}')
+# run_scenario keeps one result slot per replicate, and a list holds at most sys.maxsize items
+REPS_PAST_INDEX = f"mc_reps must be an integer <= {sys.maxsize}"
 SD_RANGE = "in.csv, row 2: A: all standard deviations must be > 0, between about 1.5e-154 and 1.3e154"
 SIZE_SUM = "in.csv, row 2: A: sample sizes must sum to below about 4.5e307"
 
@@ -807,13 +831,19 @@ class TestExtremeInputs:
         (["or"], "ors.csv", "study_id,label,or,ci_lo,ci_hi,m_top,m_bottom\n"
          "S1,AB_vs_AA,3.00,1.05,8.60,30,30\nS1,BB_vs_AB,1e+200,1e+199,1e+201,50,50\n",
          "ors.csv: study 'S1': BB_vs_AB record: the quadratic's coefficients leave the floating-point range"),
+        (["mc"], "cell.json", SCENARIO_JSON % 2**63, f"cell.json: {REPS_PAST_INDEX}, got {2**63}"),
+        (["mc"], "cell.json", SCENARIO_JSON % "1e300", f"cell.json: {REPS_PAST_INDEX}, got {int(1e300)}"),
+        (["mc", "--reps", str(2**63)], "cell.json", SCENARIO_JSON % 6, f"cell.json: {REPS_PAST_INDEX}, got {2**63}"),
+        (["effect", "--method", "crude", "--iterations", "1"], "in.csv",
+         STUDY_HEADER + "A,4,5.5,7,1,1,1,10,15,5\n", "iterations must be an integer >= 2, got 1"),
     ], ids=["crude-tiny-sd", "crude-huge-sd", "sim-tiny-sd", "sim-huge-sd", "crude-infinite-d",
             "crude-infinite-slope", "crude-infinite-variance", "sim-infinite-d", "meta-subnormal-v",
             "meta-single-subnormal-v", "meta-weight-sum-overflow", "meta-squared-weight-overflow",
             "meta-q-overflow", "json-group-size-past-float", "crude-pooled-size-sum-past-float",
             "crude-pair-mean-size-sum-past-float", "crude-count-past-float", "sim-count-past-float",
             "json-group-size-not-a-float",
-            "or-past-float"])
+            "or-past-float", "json-reps-past-index", "json-reps-float-past-index", "flag-reps-past-index",
+            "crude-one-iteration"])
     def test_exits_1_with_one_error_line_and_no_output(self, argv, name, text, message, tmp_path, capsys):
         src = tmp_path / name
         src.write_text(text)

@@ -23,6 +23,7 @@ from addmeta.simulate import (
 
 ZHH = StudySummary("ZHH-FE", (3.24, 2.44, 3.64), (2.11, 1.23, 2.42), (25, 24, 21))
 SATIETY = StudySummary("SATIETY", (11.45, 12.16, 14.73), (8.29, 8.38, 9.63), (63, 63, 42))
+EUFEST = StudySummary("EUFEST", (4.04, 5.35, 4.67), (5.11, 5.88, 6.44), (74, 40, 9))
 DATA = Path(__file__).parent / "data"
 DEGENERATE = "sample has zero variance in every group and no lack of fit"
 
@@ -185,6 +186,57 @@ def noncentral_t_mean_d(beta, sigma, n):
     delta = beta * math.sqrt(s_xx) / sigma
     t_mean = delta * math.sqrt(nu / 2) * math.exp(math.lgamma((nu - 1) / 2) - math.lgamma(nu / 2))
     return t_mean / math.sqrt(s_xx)
+
+
+def exact_limit(m, sd, n):
+    """The simulation estimator's infinite-iteration mean of d and the per-iteration SD of d.
+
+    The slope beta and the curvature c are jointly normal, and the SSE is an
+    independent weighted chi-square with Laplace transform L(t).  Writing
+    1/sqrt(x) and 1/x as Laplace integrals over t turns E[d] and E[d^2] into
+    one-dimensional integrals, taken by a trapezoid rule in u = ln t on
+    [-100, 40] at step 0.4.
+    """
+    m, sd, n = (np.asarray(x, dtype=float) for x in (m, sd, n))
+    codes, h = np.array([1.0, 2.0, 3.0]), np.array([1.0, -2.0, 1.0])
+    n_total = n.sum()
+    centered = codes - (n @ codes) / n_total
+    w, k, v = n * centered / (n @ centered**2), 1.0 / (h * h / n).sum(), sd * sd / n
+    mu_b, mu_c, var_b, var_c = w @ m, h @ m, (w * w) @ v, (h * h) @ v
+    b = (w * h) @ v / var_c  # cov(beta, c) / var(c)
+    t = np.exp(np.linspace(-100.0, 40.0, 351))
+    r = 1.0 + 2.0 * t * k * var_c
+    laplace = np.exp(-(np.log1p(2.0 * t[:, None] * sd * sd) @ ((n - 1.0) / 2.0)))
+    step = np.full(351, 0.4)
+    step[[0, -1]] = 0.2
+    # dt = t du; under the weight exp(-t k c^2), c is N(mu_c / r, var_c / r)
+    weight = step * t * laplace * r**-0.5 * np.exp(-t * k * mu_c**2 / r)
+    beta = mu_b - b * mu_c * (r - 1.0) / r
+    e_d = math.sqrt((n_total - 2.0) / math.pi) * float(weight @ (t**-0.5 * beta))
+    e_d2 = (n_total - 2.0) * float(weight @ (beta**2 + var_b - b * b * var_c + b * b * var_c / r))
+    return e_d, math.sqrt(e_d2 - e_d * e_d)
+
+
+class TestExactLimit:
+    @pytest.mark.parametrize("n", [(10, 15, 5), (35, 45, 30), (300, 400, 240), (2, 2, 2)])
+    def test_equals_the_noncentral_t_mean(self, n):
+        e_d, _ = exact_limit((4.0, 5.5, 7.0), (2.0, 2.0, 2.0), n)
+        assert e_d == pytest.approx(noncentral_t_mean_d(1.5, 2.0, n), rel=1e-10)
+
+    # Table 2's simulation d's, published at 10,000 iterations to three decimals
+    @pytest.mark.parametrize("summary, published", [(SATIETY, 0.180), (EUFEST, 0.136), (ZHH, 0.085)],
+                             ids=lambda x: getattr(x, "study_id", x))
+    def test_published_simulation_d_lies_within_3_ses_at_10000_iterations(self, summary, published):
+        e_d, sd_d = exact_limit(summary.m, summary.sd, summary.n)
+        assert abs(published - e_d) < 0.0005 + 3 * sd_d / math.sqrt(10_000)
+
+    @pytest.mark.parametrize("summary", [SATIETY, EUFEST, ZHH], ids=lambda s: s.study_id)
+    def test_sim_effect_lies_within_4_ses(self, summary):
+        iterations = 200_000
+        effect = sim_effect(summary, SimConfig(iterations=iterations, seed=3))
+        e_d, sd_d = exact_limit(summary.m, summary.sd, summary.n)
+        assert abs(effect.d - e_d) < 4 * effect.d_se
+        assert effect.d_se * math.sqrt(iterations) == pytest.approx(sd_d, rel=0.01)
 
 
 @settings(max_examples=40, deadline=None)
