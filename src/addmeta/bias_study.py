@@ -78,9 +78,14 @@ class MixtureDensity:
 
     def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Draw an array of shape ``size`` from the raw (unstandardized) mixture."""
-        # rng.choice(len(w), size=size, p=w) draws this stream, less its per-call checks
-        idx = self._cdf.searchsorted(rng.random(size), side="right") if len(self.components) > 1 else 0
-        return rng.standard_normal(size) * self._sigma[idx] + self._mu[idx]
+        # rng.choice(len(w), size=size, p=w) draws this stream, less its per-call checks: a draw's component is
+        # the count of cumulative weights at or below its uniform, the last (exactly 1.0, above every u) left out
+        idx = (np.less_equal.outer(self._cdf[:-1], rng.random(size)).sum(0, dtype=np.min_scalar_type(self._cdf.size))
+               if len(self.components) > 1 else 0)
+        x = rng.standard_normal(size)
+        x *= self._sigma.take(idx)
+        x += self._mu.take(idx)
+        return x
 
 
 def _skewed_components() -> tuple[tuple[float, float, float], ...]:
@@ -109,8 +114,11 @@ def sample_standardized(density: MixtureDensity, n: int, target_mean: float | np
     two population moments are moved onto the targets.
     """
     x = density.sample(np.broadcast_shapes(np.shape(target_mean), np.shape(target_sd), (n,)), rng)
-    z = (x - density.analytic_mean) / math.sqrt(density.analytic_var)
-    return target_mean + target_sd * z
+    x -= density.analytic_mean
+    x /= math.sqrt(density.analytic_var)
+    x *= target_sd
+    x += target_mean
+    return x
 
 
 def perturb_study_params(

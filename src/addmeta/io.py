@@ -81,7 +81,9 @@ def _parse_rows(rows: Iterable, parse: Callable, origin, first_row: int, what: s
             if tag in seen:
                 raise ValueError(f"duplicate {tag}")
             seen.add(tag)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:  # a JSON row only: a CSV's header check reports a missing column first
+            raise ValueError(f"{origin}, row {row_no}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{origin}, row {row_no}: {exc}") from exc
         records.append(record)
     if not records:
@@ -137,6 +139,8 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence], precision:
 def _study_summary(row) -> StudySummary:
     from .effects import StudySummary
 
+    if not isinstance(row, dict):  # a JSON row only: csv.DictReader gives dicts
+        raise ValueError(f"expected a JSON object of study fields, got {row!r}")
     return StudySummary(
         study_id=row["study_id"],
         m=tuple(_float(row, f"m{k}") for k in "123"),
@@ -261,6 +265,8 @@ def read_scenario(path, **overrides) -> Scenario:
     data.update(overrides)
 
     def numbers(key, parse):
+        if not isinstance(data[key], list):  # an object or a string would be read by its keys or characters
+            raise ValueError(f"{key}: expected a JSON list of 3 numbers, got {data[key]!r}")
         # each element is parsed under a name such as "mean_vec[0]"
         items = {f"{key}[{i}]": value for i, value in enumerate(data[key])}
         return tuple(parse(items, name) for name in items)

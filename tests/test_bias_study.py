@@ -86,6 +86,19 @@ class TestDensities:
         reference = rng.standard_normal(n) * sigma[idx] + mu[idx]
         np.testing.assert_array_equal(dens.sample(n, substream(31, DENSITY_KEYS[fid])), reference)
 
+    @pytest.mark.parametrize("fid", ["f2", "f3", "f4"])
+    def test_component_rule_equals_searchsorted_at_the_weight_edges(self, fid):
+        dens = DENSITIES[fid]
+        cdf = dens._cdf
+        # each cumulative weight a uniform can equal (all but the last, 1.0), the float below each one, and 0
+        u = np.concatenate([cdf[:-1], np.nextafter(cdf, 0.0), [0.0]])
+        assert u.max() == np.nextafter(1.0, 0.0)
+        mu, sigma = (np.array([c[i] for c in dens.components]) for i in (1, 2))
+        # with every normal draw 1.0, a sample reads sigma + mu of its component, which names the component
+        assert len(set((sigma + mu).tolist())) == len(dens.components)
+        idx = cdf.searchsorted(u, side="right")
+        np.testing.assert_array_equal(dens.sample(u.size, _GivenUniforms(u)), sigma[idx] + mu[idx])
+
     def test_skewed_mixture_moment_formula(self):
         # independent arithmetic for the eight-component mixture
         l = np.arange(8)
@@ -93,6 +106,20 @@ class TestDensities:
         var = np.mean((2 / 3) ** (2 * l) + mu**2) - np.mean(mu) ** 2
         assert DENSITIES["f2"].analytic_mean == pytest.approx(float(np.mean(mu)), rel=1e-12)
         assert DENSITIES["f2"].analytic_var == pytest.approx(float(var), rel=1e-12)
+
+
+class _GivenUniforms:
+    """Hands MixtureDensity.sample the given uniforms and normal draws of 1.0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+    def standard_normal(self, size):
+        return np.ones(size)
 
 
 class TestSampleStandardized:

@@ -171,6 +171,12 @@ SCENARIO = ('{"density": "f1", "L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 5.0,
     ('"mc_reps": 2, "seed": -1', "seed"),
     ('"mc_reps": 2, "seed": true', "seed"),
     ('"mc_reps": 2, "sigma_ws": true', "sigma_ws"),
+    ('"mc_reps": 2, "mean_vec": {"4": 0, "5.5": 0, "7": 0}, "n_triplet": {"10": "a", "15": "b", "5": "c"}',
+     "mean_vec: expected a JSON list of 3 numbers, got {'4': 0, '5.5': 0, '7': 0}"),
+    ('"mc_reps": 2, "n_triplet": {"10": "a", "15": "b", "5": "c"}', "n_triplet: expected a JSON list"),
+    ('"mc_reps": 2, "mean_vec": "4"', "mean_vec: expected a JSON list of 3 numbers, got '4'"),
+    ('"mc_reps": 2, "mean_vec": null', "mean_vec: expected a JSON list of 3 numbers, got None"),
+    ('"mc_reps": 2, "n_triplet": 5', "n_triplet: expected a JSON list of 3 numbers, got 5"),
 ])
 def test_invalid_scenario_numbers_exit_1_with_path_and_key(setting, key, tmp_path, capsys):
     config = tmp_path / "scenario.json"
@@ -210,19 +216,23 @@ def test_one_inner_iteration_from_the_command_line_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, name, text, message", [
-    ("mc", "scenario.json", "[5, 10]", "expected a JSON object of scenario settings"),
+    ("mc", "scenario.json", "[5, 10]", ": expected a JSON object of scenario settings"),
     ("mc", "scenario.json", '{"L": 5, "mean_vec": [4, 5.5, 7], "sigma_ws": 5.0, "n_triplet": [10, 15, 5]}',
-     "missing scenario key 'density'"),
+     ": missing scenario key 'density'"),
     ("effect", "in.csv", "study_id,m1,m2,m3,sd1,sd2,sd3,n1,n2\nA,1,2,3,1,1,1,5,5\n",
-     "missing required columns ['n3']"),
-    ("effect", "in.json", '{"study_id": "A"}', "expected a JSON list of study objects"),
-], ids=["scenario-not-an-object", "scenario-without-density", "csv-missing-column", "json-not-a-list"])
+     ": missing required columns ['n3']"),
+    ("effect", "in.json", '{"study_id": "A"}', ": expected a JSON list of study objects"),
+    ("effect", "in.json", "[5]", ", row 1: expected a JSON object of study fields, got 5"),
+    ("effect", "in.json", '[{"study_id": "A", "m1": 1, "m2": 2, "m3": 3, "sd1": 1, "sd2": 1, "sd3": 1, "n1": 5, '
+     '"n2": 5}]', ", row 1: missing field 'n3'"),
+], ids=["scenario-not-an-object", "scenario-without-density", "csv-missing-column", "json-not-a-list",
+        "json-row-not-an-object", "json-row-without-n3"])
 def test_malformed_input_file_exits_1_with_path(command, name, text, message, tmp_path, capsys):
     src = tmp_path / name
     src.write_text(text)
     assert main([command, str(src), "-o", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert f"{src}: {message}" in err and "Traceback" not in err
+    assert f"{src}{message}" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 

@@ -239,6 +239,39 @@ class TestExactLimit:
         assert effect.d_se * math.sqrt(iterations) == pytest.approx(sd_d, rel=0.01)
 
 
+_oracle_means = st.tuples(*[st.floats(-20.0, 20.0)] * 3)
+_oracle_sds = st.tuples(*[st.floats(0.5, 20.0)] * 3)
+_oracle_sizes = st.tuples(*[st.integers(5, 400)] * 3)
+
+
+# fixed examples: the first check is a 4-sigma Monte Carlo bound, so a fresh draw of 60 cases could fail by chance
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=_oracle_means.filter(lambda m: m[0] - 2.0 * m[1] + m[2] != 0.0),
+    sd=_oracle_sds.filter(lambda sd: len(set(sd)) == 3),
+    n=_oracle_sizes,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sim_effect_meets_the_exact_limit_off_the_line_and_with_unequal_sds(m, sd, n, seed):
+    iterations = 20_000
+    effect = sim_effect(StudySummary("s", m, sd, n), SimConfig(iterations=iterations, seed=seed))
+    e_d, sd_d = exact_limit(m, sd, n)
+    assert abs(effect.d - e_d) < 4 * effect.d_se
+    assert effect.d_se * math.sqrt(iterations) == pytest.approx(sd_d, rel=0.05)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_oracle_means, sd=_oracle_sds, n=_oracle_sizes)
+def test_reversing_the_group_order_negates_d(m, sd, n):
+    study = StudySummary("s", m, sd, n)
+    flipped = StudySummary("s", m[::-1], sd[::-1], n[::-1])
+    assert exact_limit(flipped.m, flipped.sd, flipped.n)[0] == pytest.approx(-exact_limit(m, sd, n)[0], rel=1e-9)
+    forward, backward = (crude_effect(s, standardizer="pair-mean") for s in (study, flipped))
+    assert (backward.d, backward.g, backward.v_g) == (-forward.d, -forward.g, forward.v_g)
+    forward, backward = (crude_effect(s, standardizer="pooled") for s in (study, flipped))
+    assert backward.d == pytest.approx(-forward.d, rel=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
