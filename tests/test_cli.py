@@ -44,7 +44,7 @@ def read_rows(path):
 # each command's output at --precision 17, as pinned in tests/data: effect on the
 # Table-2 cohorts with each standardizer and the simulation, meta on the last, mc
 # on one scenario per density and on every cell of the grid, and or on the worked
-# example plus tables the OR fit tests fit
+# example, tables the OR fit tests fit and the 60 studies of the benchmark's seed 1
 @pytest.mark.parametrize("argv, pinned", [
     (["effect", DATA / "table2_cohorts.csv", "--standardizer", "pooled"], "table2_effect_pooled.csv"),
     (["effect", DATA / "table2_cohorts.csv", "--standardizer", "pair-mean"], "table2_effect_pair_mean.csv"),
