@@ -218,21 +218,25 @@ def select_pairing(
     )
 
 
-def _logistic(eta: float) -> float:
-    """1 / (1 + e^-eta), in the form whose exponential cannot overflow."""
-    if eta >= 0:
-        return 1.0 / (1.0 + math.exp(-eta))
-    e = math.exp(eta)
-    return e / (1.0 + e)
+def _evaluate(groups, b0: float, b1: float):
+    """Log-likelihood, score (s0, s1), information (i00, i01, i11) and its determinant at (b0, b1).
 
-
-def _score_and_information(groups, b0: float, b1: float, iteration: int):
-    """Score (s0, s1), information (i00, i01, i11) and its determinant at (b0, b1)."""
-    s0 = s1 = i00 = i01 = i11 = 0.0
+    One e = e^-|eta| per group, which cannot overflow, gives both tails, 1/(1+e) and e/(1+e),
+    and with t = log(1 + e) its log-likelihood term: -log p and -log q are t and t + eta
+    when eta >= 0, and t - eta and t otherwise.
+    """
+    loglik = s0 = s1 = i00 = i01 = i11 = 0.0
     weights = []
     for present, total, x in groups:
         eta = b0 + x * b1
-        p, q = _logistic(eta), _logistic(-eta)
+        e = math.exp(-abs(eta))
+        t = math.log1p(e)
+        if eta >= 0:
+            p, q = 1.0 / (1.0 + e), e / (1.0 + e)
+            loglik -= present * t + (total - present) * (t + eta)
+        else:
+            p, q = e / (1.0 + e), 1.0 / (1.0 + e)
+            loglik -= present * (t - eta) + (total - present) * t
         # the residual from the smaller tail: total*p of about 1e9 would leave it
         # the rounding error of the larger count, far above the stopping rule
         residual = present - total * p if p <= 0.5 else total * q - (total - present)
@@ -246,24 +250,7 @@ def _score_and_information(groups, b0: float, b1: float, iteration: int):
     # Cauchy-Binet: i00*i11 - i01^2 as a sum of nonnegative terms, which cannot
     # cancel when one group outweighs the others by many orders of magnitude
     det = sum(wi * wj * (xi - xj) ** 2 for (wi, xi), (wj, xj) in itertools.combinations(weights, 2))
-    if det == 0:
-        raise ValueError(f"singular information matrix at iteration {iteration}")
-    return s0, s1, i00, i01, i11, det
-
-
-def _log_likelihood(groups, b0: float, b1: float) -> float:
-    """Binomial log-likelihood of the grouped counts at (b0, b1)."""
-    loglik = 0.0
-    for present, total, x in groups:
-        eta = b0 + x * b1
-        # with t = log(1 + e^-|eta|), which cannot overflow, -log p and -log q are
-        # t and t + eta when eta >= 0, and t - eta and t otherwise
-        t = math.log1p(math.exp(-abs(eta)))
-        if eta >= 0:
-            loglik -= present * t + (total - present) * (t + eta)
-        else:
-            loglik -= present * (t - eta) + (total - present) * t
-    return loglik
+    return loglik, s0, s1, i00, i01, i11, det
 
 
 def _separated(groups) -> bool:
@@ -295,24 +282,27 @@ def _logistic_fit(groups) -> tuple[float, float, int]:
     shift = max(0, math.frexp(max(total for _, total, _ in groups))[1] - _MAX_TOTAL_EXPONENT)
     groups = [(math.ldexp(present, -shift), math.ldexp(total, -shift), x) for present, total, x in groups]
     b0 = b1 = 0.0
-    loglik = _log_likelihood(groups, b0, b1)
+    point = _evaluate(groups, b0, b1)
     for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
-        s0, s1, i00, i01, i11, det = _score_and_information(groups, b0, b1, iteration)
+        loglik, s0, s1, i00, i01, i11, det = point
+        if det == 0:
+            raise ValueError(f"singular information matrix at iteration {iteration}")
         step0 = (i11 * s0 - i01 * s1) / det
         step1 = (i00 * s1 - i01 * s0) / det
         reach = max(abs(step0 + x * step1) for _, _, x in groups)  # the full step's largest logit move
         scale = 1.0
         while True:
-            trial = _log_likelihood(groups, b0 + scale * step0, b1 + scale * step1)
-            if ((trial >= loglik - 1e-12 * abs(loglik) and scale * reach <= MAX_LOGIT_STEP)
+            point = _evaluate(groups, b0 + scale * step0, b1 + scale * step1)
+            if ((point[0] >= loglik - 1e-12 * abs(loglik) and scale * reach <= MAX_LOGIT_STEP)
                     or scale <= MIN_STEP_SCALE):
                 break
             scale /= 2.0
         b0 += scale * step0
         b1 += scale * step1
-        loglik = trial
         if (abs(s0) < 1e-10 and abs(s1) < 1e-10) or (abs(step0) < 1e-10 and abs(step1) < 1e-10):
-            _, _, i00, _, _, det = _score_and_information(groups, b0, b1, iteration)
+            _, _, _, i00, _, _, det = point  # the accepted trial is the fit
+            if det == 0:
+                raise ValueError(f"singular information matrix at iteration {iteration}")
             return b1, math.ldexp(i00 / det, -shift), iteration
     raise ValueError(f"no convergence in {MAX_NEWTON_ITERATIONS} iterations: last b0={b0:.6g}, "
                      f"b1={b1:.6g}, max |score|={math.ldexp(max(abs(s0), abs(s1)), shift):.3g}")

@@ -19,8 +19,7 @@ from addmeta.odds_recovery import (
     MergedTable,
     ORRecord,
     _complete,
-    _logistic,
-    _score_and_information,
+    _evaluate,
     combine_reported_ors,
     combined_or,
     recover_tables,
@@ -617,10 +616,10 @@ class TestScalarFit:
         # one group near 1e9 subjects and two in single digits: i00*i11 - i01^2
         # loses about half its digits here
         groups = [(412_345_678.0, 999_999_937.0, 1.0), (3.0, 7.0, 2.0), (2.0, 5.0, 3.0)]
-        _, _, i00, _, _, det = _score_and_information(groups, b0, b1, 1)
+        *_, i00, _, _, det = _evaluate(groups, b0, b1)
         info = {(0, 0): Fraction(0), (0, 1): Fraction(0), (1, 1): Fraction(0)}
         for _, total, x in groups:
-            p = Fraction(_logistic(b0 + x * b1))
+            p = Fraction(1.0 / (1.0 + math.exp(-(b0 + x * b1))))
             w = Fraction(total) * p * (1 - p)
             info[0, 0] += w
             info[0, 1] += w * Fraction(x)
@@ -628,20 +627,35 @@ class TestScalarFit:
         exact = info[0, 0] / (info[0, 0] * info[1, 1] - info[0, 1] ** 2)
         assert math.isclose(i00 / det, float(exact), rel_tol=1e-12)
 
-    def test_information_with_every_weight_underflowed_is_singular(self):
+    def test_information_with_every_weight_underflowed_is_singular(self, monkeypatch):
         # at b0 = 800, q = e^-800 underflows to 0, so every weight total * p * q is 0
         groups = [(3.0, 10.0, 1.0), (5.0, 10.0, 2.0), (7.0, 10.0, 3.0)]
-        with pytest.raises(ValueError, match="^singular information matrix at iteration 4$"):
-            _score_and_information(groups, 800.0, 0.0, 4)
+        *_, i00, i01, i11, det = _evaluate(groups, 800.0, 0.0)
+        assert i00 == i01 == i11 == det == 0.0
+        # the fit refuses such a point once it accepts it: here every point it visits is moved by 800 in b0
+        monkeypatch.setattr(odds_recovery, "_evaluate", lambda groups, b0, b1: _evaluate(groups, b0 + 800.0, b1))
+        with pytest.raises(ValueError, match="^singular information matrix at iteration 1$"):
+            odds_recovery._logistic_fit(groups)
 
     @pytest.mark.parametrize("eta", [745.0, 746.0, 1e4, 1e308, math.inf])
     def test_logistic_saturates_without_overflow(self, eta):
-        assert _logistic(eta) == 1.0
-        assert 0.0 <= _logistic(-eta) < 1e-300
+        # one group at code 1 and b1 = 0 has logit b0; with every subject present its residual
+        # is its smaller tail q and its weight p*q, and with none present -p and p*q
+        _, s0, _, i00, _, _, _ = _evaluate([(1.0, 1.0, 1.0)], eta, 0.0)
+        assert i00 == s0 and 0.0 <= s0 < 1e-300
+        _, s0, _, i00, _, _, _ = _evaluate([(0.0, 1.0, 1.0)], -eta, 0.0)
+        assert i00 == -s0 and 0.0 <= i00 < 1e-300
 
     def test_logistic_is_symmetric(self):
         for eta in (0.0, 1e-12, 0.5, 3.0, 36.0):
-            assert _logistic(eta) + _logistic(-eta) == pytest.approx(1.0, rel=1e-15)
+            # swapping present for absent and eta for -eta swaps p and q
+            at_eta = _evaluate([(3.0, 10.0, 1.0)], eta, 0.0)
+            mirrored = _evaluate([(7.0, 10.0, 1.0)], -eta, 0.0)
+            assert mirrored[0] == at_eta[0] and mirrored[1] == -at_eta[1]
+            assert mirrored[3] == pytest.approx(at_eta[3], rel=1e-15)
+            # one subject present has log-likelihood log p, one absent log q
+            p, q = (math.exp(_evaluate([(k, 1.0, 1.0)], eta, 0.0)[0]) for k in (1.0, 0.0))
+            assert p + q == pytest.approx(1.0, rel=1e-15)
 
 
 # a count log-uniform on 1-5000, so no table is separated
