@@ -61,6 +61,11 @@ def _int(row, field: str) -> int:
     value = row[field]
     if isinstance(value, int) and not isinstance(value, bool):
         return value  # a JSON integer, exactly: float() rounds it above 2**53
+    if isinstance(value, str):
+        try:
+            return int(value)  # integer text, exactly too
+        except ValueError:
+            pass  # a float spelling such as "63.0" or "6.3e1" is read as a float below
     value = _float(row, field)
     if not value.is_integer():
         raise ValueError(f"{field}: expected an integer, got {row[field]!r}")

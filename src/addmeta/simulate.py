@@ -33,23 +33,17 @@ import numpy as np
 from ._rng import EFFECT_STUDY, SIM_DRAWS, derive_seed, substream
 from .effects import AdditiveEffect, SimConfig, StudySummary, effect_from_d
 
-_CODES = np.array([1.0, 2.0, 3.0])
-_CURVATURE = np.array([1.0, -2.0, 1.0])
 
-
-class _Design:
+@lru_cache(maxsize=16)  # one entry per n-triplet (the bias-study grid has eight)
+def _design(n: tuple[int, int, int]) -> tuple[float, tuple[float, float, float], float]:
     """N, slope weights and curvature scale of the additive fit for fixed group sizes."""
-
-    def __init__(self, n: Sequence[int]):
-        n = np.asarray(n, dtype=float)
-        self.n_total = float(n.sum())
-        centered = _CODES - float((n * _CODES).sum()) / self.n_total
-        self.slope_weights = tuple((n * centered / float((n * centered**2).sum())).tolist())
-        self.curvature_scale = 1.0 / float((_CURVATURE**2 / n).sum())
-
-
-# one _Design per n-triplet, keyed by the tuple (the bias-study grid has eight)
-_design = lru_cache(maxsize=16)(_Design)
+    n1, n2, n3 = map(float, n)
+    n_total = n1 + n2 + n3
+    code_mean = (n1 + n2 * 2.0 + n3 * 3.0) / n_total
+    c1, c2, c3 = 1.0 - code_mean, 2.0 - code_mean, 3.0 - code_mean
+    s_xx = n1 * (c1 * c1) + n2 * (c2 * c2) + n3 * (c3 * c3)
+    weights = (n1 * c1 / s_xx, n2 * c2 / s_xx, n3 * c3 / s_xx)
+    return n_total, weights, 1.0 / (1.0 / n1 + 4.0 / n2 + 1.0 / n3)
 
 
 def additive_fit_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -63,12 +57,12 @@ def additive_fit_rows(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     has zero variance in every group and no lack of fit; the message names
     the first such dataset i as ``study<i + 1>``.
     """
-    design = _design(tuple(block.shape[1] for block in blocks))
+    n_total, weights, scale = _design(tuple(block.shape[1] for block in blocks))
     means = [block.sum(axis=1) / block.shape[1] for block in blocks]
     sse = sum(((block - m[:, None]) ** 2).sum(axis=1) for block, m in zip(blocks, means))
-    beta = sum(w * m for w, m in zip(design.slope_weights, means))
-    curvature = sum(h * m for h, m in zip(_CURVATURE, means))
-    sd = np.sqrt((sse + design.curvature_scale * curvature * curvature) / (design.n_total - 2.0))
+    beta = sum(w * m for w, m in zip(weights, means))
+    curvature = sum(h * m for h, m in zip((1.0, -2.0, 1.0), means))
+    sd = np.sqrt((sse + scale * curvature * curvature) / (n_total - 2.0))
     if (sd == 0.0).any():
         first = int((sd == 0.0).argmax()) + 1
         raise ValueError(f"study{first}: sample has zero variance in every group and no lack of fit")
@@ -97,9 +91,8 @@ def draw_fits(m: Sequence[float], sd: Sequence[float], n: tuple[int, int, int], 
     divide="raise")`` to catch draws that leave the floating-point range or
     have a zero SD.
     """
-    design = _design(n)
+    n_total, (w1, w2, w3), scale = _design(n)
     # the moments in plain floats, in the order numpy's 3-element products and sums take
-    w1, w2, w3 = design.slope_weights
     var = [s * s for s in sd]
     v1, v2, v3 = (v / k for v, k in zip(var, n))  # the variance of each drawn group mean
     beta_sd = math.sqrt(w1 * w1 * v1 + w2 * w2 * v2 + w3 * w3 * v3)
@@ -117,8 +110,8 @@ def draw_fits(m: Sequence[float], sd: Sequence[float], n: tuple[int, int, int], 
     betas = beta_sd * z
     betas += beta_mean
     curvature *= curvature
-    rss += design.curvature_scale * curvature
-    rss /= design.n_total - 2.0
+    rss += scale * curvature
+    rss /= n_total - 2.0
     sds = np.sqrt(rss, out=rss)
     return betas, sds, betas / sds
 

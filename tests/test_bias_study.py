@@ -26,7 +26,7 @@ from addmeta.bias_study import (
 )
 from addmeta.effects import StudySummary, crude_effect, effect_from_d
 from addmeta.pooling import pool_random_effects
-from addmeta.simulate import _Design, draw_fits
+from addmeta.simulate import _design, draw_fits
 from test_effects import reference_crude
 from test_simulate import ZeroDraws
 
@@ -554,12 +554,12 @@ class TestRunScenario:
 
 def _reference_fit(groups):
     """Truth fit of one dataset, one group at a time: numpy means and Python-float contrasts."""
-    design = _Design([len(g) for g in groups])
+    n_total, weights, scale = _design(tuple(len(g) for g in groups))
     means = [float(np.mean(g)) for g in groups]
     sse = sum(float(((g - m) ** 2).sum()) for g, m in zip(groups, means))
-    beta = sum(w * m for w, m in zip(design.slope_weights, means))
+    beta = sum(w * m for w, m in zip(weights, means))
     curvature = sum(h * m for h, m in zip((1.0, -2.0, 1.0), means))
-    sd = math.sqrt((sse + design.curvature_scale * curvature * curvature) / (design.n_total - 2.0))
+    sd = math.sqrt((sse + scale * curvature * curvature) / (n_total - 2.0))
     if sd == 0.0:
         raise ValueError("sample has zero variance in every group and no lack of fit")
     return beta, sd, beta / sd

@@ -84,23 +84,32 @@ def test_finite_rows_round_trip_through_crude_effect(rows):
         ]
 
 
-@pytest.mark.parametrize("command, header, row, field", [
-    ("effect", io.STUDY_FIELDS, "A,1,2,3,1,1,1,5.5,5,5", "n1"),
-    ("effect", io.STUDY_FIELDS, "A,1,2,3,1,1,1,1e400,5,5", "n1"),
-    ("meta", ["study_id", "g", "v_g"], "a,nan,0.1", "g"),
-    ("meta", ["study_id", "g", "v_g"], "a,0.1,nan", "v_g"),
-    ("meta", ["study_id", "g", "v_g"], "a,0.1,0", "v_g"),
-    ("meta", ["study_id", "g", "v_g"], "a,0.1,-0.5", "v_g"),
-    ("or", io.OR_INPUT_FIELDS, "x,BB_vs_AB,1,0.36,2.81,inf,30", "m_top"),
-], ids=["n1-fraction", "n1-overflow", "g-nan", "v_g-nan", "v_g-zero", "v_g-negative", "m_top-inf"])
-def test_invalid_numbers_exit_1_with_row_and_field(command, header, row, field, tmp_path, capsys):
+@pytest.mark.parametrize("command, header, row, named", [
+    ("effect", io.STUDY_FIELDS, "A,1,2,3,1,1,1,5.5,5,5", "n1:"),
+    ("effect", io.STUDY_FIELDS, "A,1,2,3,1,1,1,1e400,5,5", "n1:"),
+    ("effect", io.STUDY_FIELDS, f"A,1,2,3,1,1,1,{2**53 + 1},5,5",
+     "A: sample sizes must be integers that a float holds exactly"),
+    ("meta", ["study_id", "g", "v_g"], "a,nan,0.1", "g:"),
+    ("meta", ["study_id", "g", "v_g"], "a,0.1,nan", "v_g:"),
+    ("meta", ["study_id", "g", "v_g"], "a,0.1,0", "v_g:"),
+    ("meta", ["study_id", "g", "v_g"], "a,0.1,-0.5", "v_g:"),
+    ("or", io.OR_INPUT_FIELDS, "x,BB_vs_AB,1,0.36,2.81,inf,30", "m_top:"),
+], ids=["n1-fraction", "n1-overflow", "n1-past-2**53", "g-nan", "v_g-nan", "v_g-zero", "v_g-negative",
+        "m_top-inf"])
+def test_invalid_numbers_exit_1_with_row_and_field(command, header, row, named, tmp_path, capsys):
     good = {"effect": "ok,1,2,3,1,1,1,5,5,5", "meta": "ok,0.2,0.1", "or": "x,AB_vs_AA,3,1.05,8.6,30,30"}
     src = tmp_path / "in.csv"
     src.write_text(",".join(header) + "\n" + good[command] + "\n" + row + "\n")
     assert main([command, str(src), "-o", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert f"row 3: {field}:" in err and "Traceback" not in err
+    assert f"row 3: {named}" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
+@pytest.mark.parametrize("text, value", [(str(2**53 + 1), 2**53 + 1), ("63", 63), ("63.0", 63), ("6.3e1", 63)])
+def test_integer_text_is_read_exactly_and_a_float_spelling_as_its_value(text, value):
+    got = io._int({"n1": text}, "n1")
+    assert type(got) is int and got == value
 
 
 @pytest.mark.parametrize("precision", ["-2", "0", "six"])

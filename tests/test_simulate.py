@@ -126,6 +126,22 @@ def test_each_stacked_row_is_its_own_fit_bit_for_bit(n, studies, offset, spread,
         assert (beta[i], sd[i], d[i]) == additive_regression([block[i] for block in blocks])
 
 
+def _numpy_design(n):
+    """N, slope weights and curvature scale as numpy 3-vectors compute them: the reference for ``_design``."""
+    codes, contrast = np.array([1.0, 2.0, 3.0]), np.array([1.0, -2.0, 1.0])
+    n = np.asarray(n, dtype=float)
+    n_total = float(n.sum())
+    centered = codes - float((n * codes).sum()) / n_total
+    slope_weights = tuple((n * centered / float((n * centered**2).sum())).tolist())
+    return n_total, slope_weights, 1.0 / float((contrast**2 / n).sum())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.tuples(*[st.integers(2, 10**9)] * 3))
+def test_design_equals_the_numpy_formula_bit_for_bit(n):
+    assert simulate._design(n) == _numpy_design(n)
+
+
 @pytest.mark.parametrize("slope", [0.0, 1.5])
 def test_one_degenerate_study_in_the_stack_raises(slope):
     # constant groups on a line: no within-group SSE and no lack of fit, so sd 0
